@@ -1,6 +1,7 @@
 #include "ds/mscn/dataset.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace ds::mscn {
 
@@ -67,25 +68,37 @@ Batch MakeBatch(const Dataset& dataset, const std::vector<size_t>& indices,
 
 namespace {
 
-// Sparse counterpart of PackSet: concatenates each query's CSR rows, padded
-// to the per-batch max with empty rows.
+bool SameRow(const nn::SparseRows& a, size_t ra, const nn::SparseRows& b,
+             size_t rb) {
+  const uint32_t ab = a.row_offsets[ra], ae = a.row_offsets[ra + 1];
+  const uint32_t bb = b.row_offsets[rb], be = b.row_offsets[rb + 1];
+  const size_t n = ae - ab;
+  return n == be - bb &&
+         std::memcmp(a.cols.data() + ab, b.cols.data() + bb,
+                     n * sizeof(uint32_t)) == 0 &&
+         std::memcmp(a.vals.data() + ab, b.vals.data() + bb,
+                     n * sizeof(float)) == 0;
+}
+
 void PackSparseSet(const std::vector<const SparseQueryFeatures*>& queries,
                    nn::SparseRows SparseQueryFeatures::* member, size_t dim,
-                   nn::SparseRows* flat, nn::Tensor* mask) {
-  const size_t b = queries.size();
-  size_t s = 1;
-  for (const auto* q : queries) s = std::max(s, (q->*member).rows());
-  flat->Clear(dim);
-  mask->ResizeInPlace({b, s});
-  mask->Zero();
-  for (size_t i = 0; i < b; ++i) {
+                   SparseSet* out) {
+  out->rows.Clear(dim);
+  out->offsets.clear();
+  out->slots.clear();
+  out->offsets.push_back(0);
+  for (size_t i = 0; i < queries.size(); ++i) {
     const nn::SparseRows& src = queries[i]->*member;
-    const size_t n = src.rows();
-    for (size_t j = 0; j < n; ++j) {
-      flat->AppendRowFrom(src, j);
-      mask->at(i, j) = 1.0f;
+    const nn::SparseRows* prev = i > 0 ? &(queries[i - 1]->*member) : nullptr;
+    for (size_t j = 0; j < src.rows(); ++j) {
+      if (prev != nullptr && j < prev->rows() && SameRow(src, j, *prev, j)) {
+        out->slots.push_back(out->slots[out->offsets[i - 1] + j]);
+      } else {
+        out->slots.push_back(static_cast<uint32_t>(out->rows.rows()));
+        out->rows.AppendRowFrom(src, j);
+      }
     }
-    for (size_t j = n; j < s; ++j) flat->EndRow();
+    out->offsets.push_back(static_cast<uint32_t>(out->slots.size()));
   }
 }
 
@@ -94,11 +107,11 @@ void PackSparseSet(const std::vector<const SparseQueryFeatures*>& queries,
 void PackSparseBatch(const std::vector<const SparseQueryFeatures*>& queries,
                      const FeatureSpace& space, SparseBatch* out) {
   PackSparseSet(queries, &SparseQueryFeatures::tables, space.table_dim(),
-                &out->tables, &out->table_mask);
+                &out->tables);
   PackSparseSet(queries, &SparseQueryFeatures::joins, space.join_dim(),
-                &out->joins, &out->join_mask);
+                &out->joins);
   PackSparseSet(queries, &SparseQueryFeatures::predicates, space.pred_dim(),
-                &out->predicates, &out->predicate_mask);
+                &out->predicates);
 }
 
 }  // namespace ds::mscn

@@ -116,27 +116,19 @@ nn::Tensor MscnModel::Infer(const Batch& batch) const {
   return y;
 }
 
-const nn::Tensor* MscnModel::InferTail(
-    const nn::Tensor& tflat, const nn::Tensor& jflat, const nn::Tensor& pflat,
-    const nn::Tensor& tmask, const nn::Tensor& jmask, const nn::Tensor& pmask,
-    nn::Workspace* ws) const {
+const nn::Tensor* MscnModel::InferTail(const nn::Tensor& t,
+                                       const nn::Tensor& j,
+                                       const nn::Tensor& p,
+                                       nn::Workspace* ws) const {
   const size_t h = config_.hidden_units;
-  const size_t b = tmask.dim(0);
-
-  nn::Tensor* t = ws->Acquire();
-  nn::Tensor* j = ws->Acquire();
-  nn::Tensor* p = ws->Acquire();
-  nn::MaskedMean::PoolInto(tflat, tmask, t);
-  nn::MaskedMean::PoolInto(jflat, jmask, j);
-  nn::MaskedMean::PoolInto(pflat, pmask, p);
-
+  const size_t b = t.dim(0);
   nn::Tensor* concat = ws->Acquire();
   concat->ResizeInPlace({b, 3 * h});
   for (size_t i = 0; i < b; ++i) {
     float* row = concat->data() + i * 3 * h;
-    std::copy(t->data() + i * h, t->data() + (i + 1) * h, row);
-    std::copy(j->data() + i * h, j->data() + (i + 1) * h, row + h);
-    std::copy(p->data() + i * h, p->data() + (i + 1) * h, row + 2 * h);
+    std::copy(t.data() + i * h, t.data() + (i + 1) * h, row);
+    std::copy(j.data() + i * h, j.data() + (i + 1) * h, row + h);
+    std::copy(p.data() + i * h, p.data() + (i + 1) * h, row + 2 * h);
   }
 
   nn::Tensor* y = out_mlp_.InferInto(*concat, ws);
@@ -149,17 +141,35 @@ const nn::Tensor* MscnModel::InferInto(const Batch& batch,
   const nn::Tensor* tf = table_mlp_.InferInto(batch.tables, ws);
   const nn::Tensor* jf = join_mlp_.InferInto(batch.joins, ws);
   const nn::Tensor* pf = pred_mlp_.InferInto(batch.predicates, ws);
-  return InferTail(*tf, *jf, *pf, batch.table_mask, batch.join_mask,
-                   batch.predicate_mask, ws);
+  nn::Tensor* t = ws->Acquire();
+  nn::Tensor* j = ws->Acquire();
+  nn::Tensor* p = ws->Acquire();
+  nn::MaskedMean::PoolInto(*tf, batch.table_mask, t);
+  nn::MaskedMean::PoolInto(*jf, batch.join_mask, j);
+  nn::MaskedMean::PoolInto(*pf, batch.predicate_mask, p);
+  return InferTail(*t, *j, *p, ws);
 }
+
+namespace {
+
+// One set's pooled representation [B, H]: the set-MLP over the packed rows,
+// then the mean over each query's slots.
+nn::Tensor* PoolSparseSet(const nn::Mlp& mlp, const SparseSet& set,
+                          nn::Workspace* ws) {
+  const nn::Tensor* rows = mlp.InferSparseInto(set.rows, ws);
+  nn::Tensor* pooled = ws->Acquire();
+  nn::MaskedMean::PoolSlotsInto(*rows, set.offsets, set.slots, pooled);
+  return pooled;
+}
+
+}  // namespace
 
 const nn::Tensor* MscnModel::InferSparse(const SparseBatch& batch,
                                          nn::Workspace* ws) const {
-  const nn::Tensor* tf = table_mlp_.InferSparseInto(batch.tables, ws);
-  const nn::Tensor* jf = join_mlp_.InferSparseInto(batch.joins, ws);
-  const nn::Tensor* pf = pred_mlp_.InferSparseInto(batch.predicates, ws);
-  return InferTail(*tf, *jf, *pf, batch.table_mask, batch.join_mask,
-                   batch.predicate_mask, ws);
+  const nn::Tensor* t = PoolSparseSet(table_mlp_, batch.tables, ws);
+  const nn::Tensor* j = PoolSparseSet(join_mlp_, batch.joins, ws);
+  const nn::Tensor* p = PoolSparseSet(pred_mlp_, batch.predicates, ws);
+  return InferTail(*t, *j, *p, ws);
 }
 
 void MscnModel::Backward(const nn::Tensor& dy) {

@@ -62,6 +62,9 @@ class MscnModel {
 
   /// Same, with CSR feature rows feeding the first layer of each set-MLP
   /// (the serving path: featurized one-hot rows are overwhelmingly zero).
+  /// Each set-MLP runs on the batch's packed rows only — no padding, and a
+  /// repeated row once — and pools through the element -> row map; the
+  /// result is bit-for-bit Infer's on the padded equivalent.
   const nn::Tensor* InferSparse(const SparseBatch& batch,
                                 nn::Workspace* ws) const;
 
@@ -87,12 +90,10 @@ class MscnModel {
   Status ReadPacked(util::BinaryReader* reader);
 
  private:
-  /// Shared tail of the workspace inference paths: pool the three flattened
-  /// set activations, concatenate, output MLP, sigmoid.
-  const nn::Tensor* InferTail(const nn::Tensor& tflat, const nn::Tensor& jflat,
-                              const nn::Tensor& pflat, const nn::Tensor& tmask,
-                              const nn::Tensor& jmask, const nn::Tensor& pmask,
-                              nn::Workspace* ws) const;
+  /// Shared tail of the workspace inference paths: concatenate the three
+  /// pooled set representations [B, H], output MLP, sigmoid.
+  const nn::Tensor* InferTail(const nn::Tensor& t, const nn::Tensor& j,
+                              const nn::Tensor& p, nn::Workspace* ws) const;
 
   ModelConfig config_;
   nn::Mlp table_mlp_;

@@ -1,6 +1,6 @@
-// AVX-512 kernel tier: 16-wide FMA main loops with 8-wide AVX2 and scalar
-// tails. Like the FMA tier this contracts multiply-adds, so it is
-// tolerance-equal (not bit-equal) to the generic/AVX2 tiers. Opt-in via
+// AVX-512 kernel tier: 16-wide FMA register tiles with scalar tails. Like
+// the FMA tier this contracts multiply-adds, so it is tolerance-equal (not
+// bit-equal) to the generic/AVX2 tiers. Opt-in via
 // DS_KERNEL_TIER=avx512|native. The dispatcher additionally requires the
 // OS to save zmm state (XCR0) before offering this tier.
 //

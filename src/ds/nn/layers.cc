@@ -331,6 +331,33 @@ void MaskedMean::PoolInto(const Tensor& flat, const Tensor& mask,
   }
 }
 
+void MaskedMean::PoolSlotsInto(const Tensor& rows,
+                               const std::vector<uint32_t>& offsets,
+                               const std::vector<uint32_t>& slots,
+                               Tensor* out) {
+  DS_CHECK_EQ(rows.rank(), 2u);
+  DS_CHECK(!offsets.empty());
+  DS_CHECK_EQ(offsets.back(), slots.size());
+  const size_t b = offsets.size() - 1, h = rows.dim(1);
+  out->ResizeInPlace({b, h});
+  for (size_t i = 0; i < b; ++i) {
+    float* orow = out->data() + i * h;
+    for (size_t k = 0; k < h; ++k) orow[k] = 0.0f;
+    for (uint32_t e = offsets[i]; e < offsets[i + 1]; ++e) {
+      DS_DCHECK(slots[e] < rows.dim(0), "pool slot %u of %zu rows", slots[e],
+                rows.dim(0));
+      const float* frow = rows.data() + static_cast<size_t>(slots[e]) * h;
+      for (size_t k = 0; k < h; ++k) orow[k] += frow[k];
+    }
+    // PoolInto's count is a float sum of 1.0f mask entries: exactly n.
+    const size_t n = offsets[i + 1] - offsets[i];
+    if (n > 0) {
+      const float inv = 1.0f / static_cast<float>(n);
+      for (size_t k = 0; k < h; ++k) orow[k] *= inv;
+    }
+  }
+}
+
 Tensor MaskedMean::Backward(const Tensor& dy) {
   const size_t b = cached_mask_.dim(0), s = cached_mask_.dim(1);
   const size_t h = cached_h_;

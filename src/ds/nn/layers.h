@@ -187,6 +187,15 @@ class MaskedMean {
   /// identical to Pool.
   static void PoolInto(const Tensor& flat, const Tensor& mask, Tensor* out);
 
+  /// Mean pooling without padding: set i averages rows
+  /// slots[offsets[i]], ..., slots[offsets[i + 1] - 1] of `rows` [R, H]
+  /// (`offsets` has B + 1 entries); `out` is resized in place to [B, H].
+  /// Adds in the same order as PoolInto over the padded equivalent, so the
+  /// two are bit-for-bit identical.
+  static void PoolSlotsInto(const Tensor& rows,
+                            const std::vector<uint32_t>& offsets,
+                            const std::vector<uint32_t>& slots, Tensor* out);
+
  private:
   Tensor cached_mask_;
   std::vector<float> cached_counts_;  // real elements per set

@@ -157,16 +157,20 @@ TEST(KernelTest, SparseRowsToDenseRoundTrips) {
 
 TEST(KernelTest, SparseLinearMatchesDenseBitForBit) {
   util::Pcg32 rng(12);
-  for (double zf : {0.5, 0.9, 1.0}) {
-    Tensor x = RandomTensor({6, 27}, &rng, zf);
-    Tensor w = RandomTensor({27, 16}, &rng);
-    Tensor b = RandomTensor({16}, &rng);
-    SparseRows xs = MakeSparse(x);
-    for (bool relu : {false, true}) {
-      Tensor want, got;
-      LinearBiasActInto(x, w, b, relu, &want);
-      SparseLinearBiasActInto(xs, w, b, relu, &got);
-      ExpectBitIdentical(want, got);
+  // Output widths: 16, the MSCN's 64 (one full register tile), and 20 (not
+  // a multiple of any vector width: partial tiles plus a scalar tail).
+  for (size_t m : {16, 64, 20}) {
+    for (double zf : {0.5, 0.9, 1.0}) {
+      Tensor x = RandomTensor({6, 27}, &rng, zf);
+      Tensor w = RandomTensor({27, m}, &rng);
+      Tensor b = RandomTensor({m}, &rng);
+      SparseRows xs = MakeSparse(x);
+      for (bool relu : {false, true}) {
+        Tensor want, got;
+        LinearBiasActInto(x, w, b, relu, &want);
+        SparseLinearBiasActInto(xs, w, b, relu, &got);
+        ExpectBitIdentical(want, got);
+      }
     }
   }
 }
@@ -262,23 +266,6 @@ class KernelPipelineTest : public ::testing::Test {
         samples_(est::SampleSet::Build(*catalog_, 8, 3).value()),
         space_(mscn::FeatureSpace::Create(*catalog_, {}, 8).value()) {}
 
-  workload::QuerySpec Q(const std::string& sql) {
-    return sql::ParseAndBind(*catalog_, sql).value();
-  }
-
-  std::vector<workload::QuerySpec> TestSpecs() {
-    return {
-        Q("SELECT COUNT(*) FROM movie"),
-        Q("SELECT COUNT(*) FROM movie WHERE year = 2003"),
-        Q("SELECT COUNT(*) FROM movie m, rating r WHERE r.movie_id = m.id "
-          "AND r.score > 2.5"),
-        Q("SELECT COUNT(*) FROM genre WHERE name = 'g1'"),
-        Q("SELECT COUNT(*) FROM movie m, rating r, genre g WHERE "
-          "r.movie_id = m.id AND m.genre_id = g.id AND g.name = 'g2' "
-          "AND m.year > 2004"),
-    };
-  }
-
   std::unique_ptr<storage::Catalog> catalog_;
   est::SampleSet samples_;
   mscn::FeatureSpace space_;
@@ -287,7 +274,9 @@ class KernelPipelineTest : public ::testing::Test {
 TEST_F(KernelPipelineTest, SparseFeaturizationMatchesDense) {
   mscn::FeaturizeScratch scratch;
   mscn::SparseQueryFeatures sparse;
-  for (const auto& spec : TestSpecs()) {
+  // The mixed batch: 1-3 tables, joins, numeric and string literals.
+  const auto batches = testutil::SparsePackingBatches(*catalog_, samples_);
+  for (const auto& spec : batches.front()) {
     for (bool use_bitmaps : {true, false}) {
       ASSERT_TRUE(space_
                       .FeaturizeSparse(spec, samples_, use_bitmaps, &scratch,
@@ -337,43 +326,26 @@ TEST_F(KernelPipelineTest, SparseFeaturizationMatchesDense) {
 }
 
 TEST_F(KernelPipelineTest, ModelInferSparseMatchesInfer) {
-  mscn::ModelConfig mc;
-  mc.table_dim = space_.table_dim();
-  mc.join_dim = space_.join_dim();
-  mc.pred_dim = space_.pred_dim();
-  mc.hidden_units = 16;
-  mscn::MscnModel model(mc);
-  util::Pcg32 rng(17);
-  model.Initialize(&rng);
-
-  // Featurize the specs both ways and batch them both ways.
-  mscn::Dataset ds;
-  mscn::FeaturizeScratch scratch;
-  std::vector<mscn::SparseQueryFeatures> sparse(TestSpecs().size());
-  std::vector<const mscn::SparseQueryFeatures*> ptrs;
-  size_t n = 0;
-  for (const auto& spec : TestSpecs()) {
-    ds.features.push_back(space_.FeaturizeWithSamples(spec, samples_).value());
-    ds.labels.push_back(1);
-    ASSERT_TRUE(
-        space_.FeaturizeSparse(spec, samples_, true, &scratch, &sparse[n])
-            .ok());
-    ptrs.push_back(&sparse[n]);
-    ++n;
+  // Hidden widths as in SparseLinearMatchesDenseBitForBit; batches that
+  // need padding in the dense layout and template batches whose rows
+  // repeat (see testutil::SparsePackingBatches).
+  const auto batches = testutil::SparsePackingBatches(*catalog_, samples_);
+  for (size_t hidden : {16, 64, 20}) {
+    mscn::ModelConfig mc;
+    mc.table_dim = space_.table_dim();
+    mc.join_dim = space_.join_dim();
+    mc.pred_dim = space_.pred_dim();
+    mc.hidden_units = hidden;
+    mscn::MscnModel model(mc);
+    util::Pcg32 rng(17);
+    model.Initialize(&rng);
+    size_t reused = 0;
+    for (const auto& specs : batches) {
+      reused += testutil::ExpectInferSparseMatchesInfer(model, space_,
+                                                        samples_, specs);
+    }
+    EXPECT_GT(reused, 0u) << "no packed row was reused";
   }
-  std::vector<size_t> indices(n);
-  for (size_t i = 0; i < n; ++i) indices[i] = i;
-  mscn::Batch batch = mscn::MakeBatch(ds, indices, space_);
-  mscn::SparseBatch sbatch;
-  mscn::PackSparseBatch(ptrs, space_, &sbatch);
-
-  Tensor want = model.Infer(batch);
-  Workspace ws;
-  const Tensor* dense_into = model.InferInto(batch, &ws);
-  ExpectBitIdentical(want, *dense_into);
-  ws.Reset();
-  const Tensor* got = model.InferSparse(sbatch, &ws);
-  ExpectBitIdentical(want, *got);
 }
 
 // ---- End-to-end estimation -------------------------------------------------

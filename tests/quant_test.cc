@@ -19,6 +19,7 @@
 #include "ds/util/arena.h"
 #include "ds/util/random.h"
 #include "ds/util/serialize.h"
+#include "test_util.h"
 
 namespace ds {
 namespace {
@@ -206,17 +207,47 @@ TEST(QuantTest, Int8PackedKernelCloseToFp32OnDequantizedWeights) {
 TEST(QuantTest, SparsePackedMatchesDensePackedBitForBit) {
   util::Pcg32 rng(23);
   for (QuantMode mode : {QuantMode::kInt8, QuantMode::kFp16}) {
-    Tensor x = RandomTensor({6, 50}, &rng, 0.9);
-    Tensor w = RandomTensor({50, 13}, &rng);
-    Tensor b = RandomTensor({13}, &rng);
-    nn::SparseRows xs = ToSparse(x);
-    PackedLinear p = PackWeights(w, mode);
-    Tensor dense, sparse;
-    nn::LinearBiasActPackedInto(x, p, b, true, &dense);
-    nn::SparseLinearBiasActPackedInto(xs, p, b, true, &sparse);
-    ASSERT_TRUE(dense.SameShape(sparse));
-    for (size_t i = 0; i < dense.size(); ++i) {
-      ASSERT_EQ(dense.at(i), sparse.at(i)) << "flat index " << i;
+    // Output widths 13, 64 (the MSCN's) and 20, as in nn_kernel_test.
+    for (size_t m : {13, 64, 20}) {
+      Tensor x = RandomTensor({6, 50}, &rng, 0.9);
+      Tensor w = RandomTensor({50, m}, &rng);
+      Tensor b = RandomTensor({m}, &rng);
+      nn::SparseRows xs = ToSparse(x);
+      PackedLinear p = PackWeights(w, mode);
+      Tensor dense, sparse;
+      nn::LinearBiasActPackedInto(x, p, b, true, &dense);
+      nn::SparseLinearBiasActPackedInto(xs, p, b, true, &sparse);
+      ASSERT_TRUE(dense.SameShape(sparse));
+      for (size_t i = 0; i < dense.size(); ++i) {
+        ASSERT_EQ(dense.at(i), sparse.at(i)) << "m " << m << " index " << i;
+      }
+    }
+  }
+}
+
+TEST(QuantTest, PackedModelInferSparseMatchesInfer) {
+  // nn_kernel_test's ModelInferSparseMatchesInfer with packed weights: the
+  // padding-free, row-reusing sparse path must match the padded dense one
+  // bit for bit in every quant mode.
+  auto catalog = testutil::MakeTinyCatalog();
+  const est::SampleSet samples = est::SampleSet::Build(*catalog, 8, 3).value();
+  const mscn::FeatureSpace space =
+      mscn::FeatureSpace::Create(*catalog, {}, 8).value();
+  const auto batches = testutil::SparsePackingBatches(*catalog, samples);
+  for (QuantMode mode : {QuantMode::kInt8, QuantMode::kFp16}) {
+    for (size_t hidden : {16, 64, 20}) {
+      mscn::ModelConfig mc;
+      mc.table_dim = space.table_dim();
+      mc.join_dim = space.join_dim();
+      mc.pred_dim = space.pred_dim();
+      mc.hidden_units = hidden;
+      mscn::MscnModel model(mc);
+      util::Pcg32 rng(17);
+      model.Initialize(&rng);
+      model.Pack(mode);
+      for (const auto& specs : batches) {
+        testutil::ExpectInferSparseMatchesInfer(model, space, samples, specs);
+      }
     }
   }
 }

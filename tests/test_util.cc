@@ -1,6 +1,13 @@
 #include "test_util.h"
 
+#include <gtest/gtest.h>
+
 #include "ds/exec/predicate.h"
+#include "ds/mscn/dataset.h"
+#include "ds/nn/workspace.h"
+#include "ds/sketch/template.h"
+#include "ds/sql/binder.h"
+#include "ds/sql/parser.h"
 #include "ds/util/logging.h"
 
 namespace ds::testutil {
@@ -122,6 +129,84 @@ uint64_t BruteForceCount(const Catalog& catalog,
     if (d == row.size()) break;
   }
   return count;
+}
+
+std::vector<std::vector<workload::QuerySpec>> SparsePackingBatches(
+    const Catalog& catalog, const est::SampleSet& samples) {
+  std::vector<std::vector<workload::QuerySpec>> batches(1);
+  for (const char* sql :
+       {"SELECT COUNT(*) FROM movie",
+        "SELECT COUNT(*) FROM movie WHERE year = 2003",
+        "SELECT COUNT(*) FROM movie m, rating r WHERE r.movie_id = m.id "
+        "AND r.score > 2.5",
+        "SELECT COUNT(*) FROM genre WHERE name = 'g1'",
+        "SELECT COUNT(*) FROM movie m, rating r, genre g WHERE "
+        "r.movie_id = m.id AND m.genre_id = g.id AND g.name = 'g2' "
+        "AND m.year > 2004"}) {
+    batches[0].push_back(sql::ParseAndBind(catalog, sql).value());
+  }
+  for (const char* sql :
+       {"SELECT COUNT(*) FROM movie m, rating r WHERE r.movie_id = m.id "
+        "AND r.votes < 60 AND m.year > ?",
+        "SELECT COUNT(*) FROM movie WHERE genre_id = 2 AND year < ?"}) {
+    const sql::BoundQuery bound =
+        sql::Bind(catalog, sql::Parse(sql).value()).value();
+    std::vector<sketch::TemplateInstance> expanded =
+        sketch::InstantiateTemplate(bound, samples).value();
+    std::vector<workload::QuerySpec> instances;
+    for (auto& instance : expanded) {
+      instances.push_back(std::move(instance.spec));
+    }
+    batches.push_back(std::move(instances));
+  }
+  return batches;
+}
+
+size_t ExpectInferSparseMatchesInfer(
+    const mscn::MscnModel& model, const mscn::FeatureSpace& space,
+    const est::SampleSet& samples,
+    const std::vector<workload::QuerySpec>& specs) {
+  mscn::Dataset ds;
+  mscn::FeaturizeScratch scratch;
+  std::vector<mscn::SparseQueryFeatures> sparse(specs.size());
+  std::vector<const mscn::SparseQueryFeatures*> ptrs;
+  std::vector<size_t> indices;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    ds.features.push_back(
+        space.FeaturizeWithSamples(specs[i], samples).value());
+    ds.labels.push_back(1);
+    EXPECT_TRUE(space
+                    .FeaturizeSparse(specs[i], samples, /*use_bitmaps=*/true,
+                                     &scratch, &sparse[i])
+                    .ok());
+    ptrs.push_back(&sparse[i]);
+    indices.push_back(i);
+  }
+  const mscn::Batch batch = mscn::MakeBatch(ds, indices, space);
+  mscn::SparseBatch sbatch;
+  mscn::PackSparseBatch(ptrs, space, &sbatch);
+
+  const nn::Tensor want = model.Infer(batch);
+  nn::Workspace ws;
+  const nn::Tensor* dense_into = model.InferInto(batch, &ws);
+  ws.Reset();
+  const nn::Tensor* got = model.InferSparse(sbatch, &ws);
+  EXPECT_TRUE(want.SameShape(*dense_into));
+  EXPECT_TRUE(want.SameShape(*got));
+  for (size_t i = 0; i < want.size() && i < got->size(); ++i) {
+    // Bit-for-bit: exact float equality, no tolerance.
+    EXPECT_EQ(want.at(i), dense_into->at(i)) << "InferInto, query " << i;
+    EXPECT_EQ(want.at(i), got->at(i)) << "InferSparse, query " << i;
+  }
+
+  size_t reused = 0;
+  for (const mscn::SparseSet* set :
+       {&sbatch.tables, &sbatch.joins, &sbatch.predicates}) {
+    EXPECT_EQ(set->offsets.size(), specs.size() + 1);
+    EXPECT_LE(set->rows.rows(), set->slots.size());
+    reused += set->slots.size() - set->rows.rows();
+  }
+  return reused;
 }
 
 }  // namespace ds::testutil

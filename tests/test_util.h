@@ -8,6 +8,9 @@
 #include <memory>
 #include <vector>
 
+#include "ds/est/sample.h"
+#include "ds/mscn/featurizer.h"
+#include "ds/mscn/model.h"
 #include "ds/storage/catalog.h"
 #include "ds/workload/query_spec.h"
 
@@ -29,6 +32,23 @@ std::unique_ptr<storage::Catalog> MakeTinyCatalog();
 /// must already be validated.
 uint64_t BruteForceCount(const storage::Catalog& catalog,
                          const workload::QuerySpec& spec);
+
+/// Batches over the tiny catalog for the sparse-inference parity tests:
+/// a mixed batch whose sets need padding in the dense layout, and the
+/// instances of two '?' templates — one with a join (its rating and join
+/// rows repeat between instances), one without (no query has a join, so
+/// the packed join set is empty).
+std::vector<std::vector<workload::QuerySpec>> SparsePackingBatches(
+    const storage::Catalog& catalog, const est::SampleSet& samples);
+
+/// Asserts that MscnModel::InferSparse over PackSparseBatch reproduces
+/// MscnModel::Infer over the padded MakeBatch of `specs` bit for bit, in
+/// whatever quant mode `model` is packed. Returns the number of set
+/// elements whose row the packer reused from the previous query.
+size_t ExpectInferSparseMatchesInfer(
+    const mscn::MscnModel& model, const mscn::FeatureSpace& space,
+    const est::SampleSet& samples,
+    const std::vector<workload::QuerySpec>& specs);
 
 }  // namespace ds::testutil
 
