@@ -5,6 +5,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <thread>
 #include <utility>
 
@@ -37,14 +38,14 @@ NetMetrics::NetMetrics(obs::Registry* r)
                               "Estimate requests received over the wire "
                               "(batch items count individually)")),
       responses_ok(*r->GetCounter("ds_net_responses_total",
-                                  "Estimate responses sent, by status",
+                                  "Estimate requests answered, by status",
                                   {{"status", WireStatusName(WireStatus::kOk)}})),
       responses_error(
           *r->GetCounter("ds_net_responses_total",
-                         "Estimate responses sent, by status",
+                         "Estimate requests answered, by status",
                          {{"status", WireStatusName(WireStatus::kError)}})),
       responses_rejected(*r->GetCounter(
-          "ds_net_responses_total", "Estimate responses sent, by status",
+          "ds_net_responses_total", "Estimate requests answered, by status",
           {{"status", WireStatusName(WireStatus::kRejected)}})),
       http_requests(*r->GetCounter("ds_net_http_requests_total",
                                    "HTTP requests handled (all endpoints)")),
@@ -240,6 +241,12 @@ uint32_t ConnEvents(bool want_write) {
   return EPOLLIN | EPOLLRDHUP | EPOLLET | (want_write ? EPOLLOUT : 0u);
 }
 
+/// The protocol that decoded a wire estimate request, and so encodes its
+/// reply.
+enum class Codec : uint8_t { kEstimate, kEstimateBatch, kHttp };
+
+struct WireRequest;
+
 }  // namespace
 
 struct Connection;
@@ -257,8 +264,8 @@ struct NetServer::Worker {
 };
 
 /// One client connection. Owned by its worker's `conns` map; completion
-/// tasks hold weak_ptrs, so a connection that closes mid-request simply
-/// drops the response.
+/// tasks hold weak_ptrs, so a connection that closes mid-request only
+/// loses the reply bytes (the outcome is still counted).
 struct Connection : std::enable_shared_from_this<Connection> {
   enum class Proto { kSniffing, kBinary, kHttp };
 
@@ -267,9 +274,10 @@ struct Connection : std::enable_shared_from_this<Connection> {
   NetServer::Worker* worker = nullptr;
   Proto proto = Proto::kSniffing;
   std::string tenant;
-  /// Cached /statusz ledger row for `tenant`; refreshed when HELLO (or an
-  /// X-DS-Tenant header) changes the tenant, so the hot path never takes
-  /// the ledger lock.
+  /// Cached /statusz ledger row for `tenant`, reset when HELLO changes the
+  /// tenant, so the binary hot path never takes the ledger lock. (HTTP
+  /// requests naming another tenant in X-DS-Tenant look their row up per
+  /// request.)
   NetServer::TenantStats* ledger = nullptr;
   std::string rbuf;
   std::string wbuf;  // unsent response bytes (fd would block)
@@ -287,17 +295,17 @@ struct Connection : std::enable_shared_from_this<Connection> {
   void DispatchBinary();
   void DispatchHttp();
   void HandleFrame(const FrameHeader& header, std::string_view payload);
-  void HandleEstimate(uint64_t request_id, std::string_view payload,
-                      const obs::WireTraceContext& trace,
-                      int64_t received_us);
-  void HandleBatch(uint64_t request_id, std::string_view payload,
-                   const obs::WireTraceContext& trace, int64_t received_us);
   void HandleHttpRequest(const HttpRequest& req);
   NetServer::TenantStats* Ledger();
+  std::shared_ptr<WireRequest> NewRequest(Codec codec,
+                                          std::string request_tenant,
+                                          const obs::WireTraceContext& trace,
+                                          int64_t received_us,
+                                          size_t wire_bytes);
+  void Serve(std::shared_ptr<WireRequest> req);
+  static void Reply(NetServer* server, WireRequest* req, Connection* conn);
   void SendFrame(FrameType type, WireStatus status, uint64_t request_id,
                  std::string_view payload);
-  void CountAndSendFrame(FrameType type, WireStatus status,
-                         uint64_t request_id, std::string_view payload);
   void QueueWrite(std::string_view bytes);
   void FlushWrites();
   void ProtocolError(FrameType type, uint64_t request_id,
@@ -388,6 +396,123 @@ NetServer::TenantStats* Connection::Ledger() {
   return ledger;
 }
 
+namespace {
+
+/// How one statement of a wire estimate request was answered.
+enum class Outcome : uint8_t {
+  kOk,                 // estimated
+  kError,              // undecodable request, unknown sketch, bind error...
+  kAdmissionRejected,  // the tenant's token bucket was empty
+  kQueueFull,          // the serve queue shed it
+  kShuttingDown,       // the backend is stopping
+};
+
+using LedgerRow = NetServer::TenantStats;
+
+/// What an outcome becomes, whichever protocol carried the statement: the
+/// binary frame (or batch item) status, which is also the status label of
+/// ds_net_responses_total, the HTTP status code, and the tenant-ledger
+/// column.
+struct OutcomeRow {
+  WireStatus wire;
+  int http_status;
+  obs::Counter* LedgerRow::*column;
+};
+
+constexpr OutcomeRow kOutcomes[] = {
+    {WireStatus::kOk, 200, &LedgerRow::completed},       // kOk
+    {WireStatus::kError, 400, &LedgerRow::completed},    // kError
+    {WireStatus::kRejected, 429, &LedgerRow::rejected},  // kAdmissionRejected
+    {WireStatus::kRejected, 429, &LedgerRow::shed},      // kQueueFull
+    {WireStatus::kError, 503, &LedgerRow::completed},    // kShuttingDown
+};
+static_assert(std::size(kOutcomes) ==
+              static_cast<size_t>(Outcome::kShuttingDown) + 1);
+
+/// One wire estimate request: the statements its codec decoded (one for
+/// ESTIMATE and HTTP, any number for ESTIMATE_BATCH) on one sketch, and the
+/// outcome of each. The owning loop fills it and hands the statements to
+/// the serve workers; each worker writes only its own statement's slots,
+/// and whoever settles the last slot hands the request back to the loop.
+struct WireRequest {
+  Codec codec = Codec::kEstimate;
+  uint64_t request_id = 0;  // binary: echoed in the reply frame
+  bool close = false;       // HTTP: "Connection: close", then close
+  std::string tenant;
+  NetServer::TenantStats* ledger = nullptr;
+  obs::WireTraceContext trace;
+  int64_t received_us = 0;  // when the bytes were read off the socket
+  size_t wire_bytes = 0;    // decoded payload size (net_decode span)
+  Status decoded;           // not ok: one kError statement, never admitted
+  std::string sketch;
+  std::vector<std::string> sqls;
+  std::vector<Outcome> outcomes;
+  std::vector<Result<double>> results;  // the value or the error message
+  std::atomic<size_t> remaining{0};     // unsettled slots + one guard
+};
+
+/// The reply to `req` in the codec that decoded it.
+std::string EncodeReply(const WireRequest& req) {
+  const Outcome first =
+      req.outcomes.empty() ? Outcome::kOk : req.outcomes.front();
+  const OutcomeRow& row = kOutcomes[static_cast<size_t>(first)];
+  std::string out;
+  switch (req.codec) {
+    case Codec::kEstimate: {
+      std::string payload;
+      if (first == Outcome::kOk) {
+        AppendF64(&payload, *req.results[0]);
+      } else {
+        payload = req.results[0].status().message();
+      }
+      AppendFrame(&out, FrameType::kEstimate, row.wire, req.request_id,
+                  payload);
+      break;
+    }
+    case Codec::kEstimateBatch: {
+      // An undecodable or admission-refused batch is refused as a whole
+      // frame; otherwise every statement answers in its own item.
+      if (!req.decoded.ok() || first == Outcome::kAdmissionRejected) {
+        AppendFrame(&out, FrameType::kEstimateBatch, row.wire,
+                    req.request_id, req.results[0].status().message());
+        break;
+      }
+      std::string payload;
+      AppendU32(&payload, static_cast<uint32_t>(req.results.size()));
+      for (size_t i = 0; i < req.results.size(); ++i) {
+        // Batch items word a queue-full refusal differently from the
+        // single-statement replies.
+        AppendBatchItem(&payload,
+                        req.outcomes[i] == Outcome::kQueueFull
+                            ? Result<double>(Status::OutOfRange(
+                                  "rejected: queue full"))
+                            : req.results[i]);
+      }
+      AppendFrame(&out, FrameType::kEstimateBatch, WireStatus::kOk,
+                  req.request_id, payload);
+      break;
+    }
+    case Codec::kHttp: {
+      std::string body;
+      if (first == Outcome::kOk) {
+        char value[64];
+        std::snprintf(value, sizeof(value), "{\"estimate\":%.1f}\n",
+                      *req.results[0]);
+        body = value;
+      } else {
+        body = "{\"error\":\"" +
+               JsonEscape(req.results[0].status().message()) + "\"}\n";
+      }
+      out = BuildHttpResponse(row.http_status, "application/json", body,
+                              req.close);
+      break;
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 void Connection::HandleFrame(const FrameHeader& header,
                              std::string_view payload) {
   // Strip the optional trace-context prefix before any payload parsing;
@@ -424,267 +549,180 @@ void Connection::HandleFrame(const FrameHeader& header,
       SendFrame(FrameType::kStats, WireStatus::kOk, header.request_id,
                 server->backend_->MetricsJson());
       return;
-    case FrameType::kEstimate:
-      HandleEstimate(header.request_id, payload, trace, received_us);
+    case FrameType::kEstimate: {
+      auto req = NewRequest(Codec::kEstimate, tenant, trace, received_us,
+                            payload.size());
+      req->request_id = header.request_id;
+      EstimateRequest decoded;
+      req->decoded = ParseEstimateRequest(payload, &decoded);
+      req->sketch = std::move(decoded.sketch);
+      req->sqls.push_back(std::move(decoded.sql));
+      Serve(std::move(req));
       return;
-    case FrameType::kEstimateBatch:
-      HandleBatch(header.request_id, payload, trace, received_us);
+    }
+    case FrameType::kEstimateBatch: {
+      auto req = NewRequest(Codec::kEstimateBatch, tenant, trace,
+                            received_us, payload.size());
+      req->request_id = header.request_id;
+      EstimateBatchRequest decoded;
+      req->decoded = ParseEstimateBatchRequest(payload, &decoded);
+      req->sketch = std::move(decoded.sketch);
+      req->sqls = std::move(decoded.sqls);
+      Serve(std::move(req));
       return;
+    }
   }
 }
 
-void Connection::HandleEstimate(uint64_t request_id,
-                                std::string_view payload,
-                                const obs::WireTraceContext& trace,
-                                int64_t received_us) {
-  server->metrics_.requests.Add();
-  NetServer::TenantStats* stats = Ledger();
-  stats->submitted->Add();
+std::shared_ptr<WireRequest> Connection::NewRequest(
+    Codec codec, std::string request_tenant,
+    const obs::WireTraceContext& trace, int64_t received_us,
+    size_t wire_bytes) {
+  auto req = std::make_shared<WireRequest>();
+  req->codec = codec;
+  req->ledger = request_tenant == tenant ? Ledger()
+                                         : server->Tenant(request_tenant);
+  req->tenant = std::move(request_tenant);
+  req->trace = trace;
+  req->received_us = received_us;
+  req->wire_bytes = wire_bytes;
+  return req;
+}
+
+// The one request pipeline: every wire estimate, whichever codec decoded
+// it, is admitted at the cost of its statement count, submitted as one
+// group, and settled statement by statement. Refusals settle here on the
+// loop thread; the rest settle on serve workers. Whoever settles the last
+// statement hands the request to Reply on the owning loop.
+void Connection::Serve(std::shared_ptr<WireRequest> req) {
   obs::TraceRecorder* tracer = server->backend_->tracer();
-  EstimateRequest req;
-  const auto parse_status = ParseEstimateRequest(payload, &req);
+  const obs::WireTraceContext trace = req->trace;
   // RecordSpan is a no-op on an unsampled request (trace_id 0) or a
   // tracer-less backend, so the spans below cost a branch when off.
   obs::RecordSpan(tracer, trace.trace_id, trace.parent_span, "net_decode",
-                  received_us, obs::TraceRecorder::NowUs(), payload.size());
-  if (!parse_status.ok()) {
-    stats->completed->Add();
-    CountAndSendFrame(FrameType::kEstimate, WireStatus::kError, request_id,
-                      parse_status.message());
-    return;
-  }
-  const int64_t admit_start_us = obs::TraceRecorder::NowUs();
-  const bool admitted =
-      server->admission_.Admit(tenant, server->NowSeconds());
-  obs::RecordSpan(tracer, trace.trace_id, trace.parent_span,
-                  "net_admission", admit_start_us,
-                  obs::TraceRecorder::NowUs(), admitted ? 1 : 0);
-  if (!admitted) {
-    server->backend_->CountShed();
-    stats->rejected->Add();
-    CountAndSendFrame(FrameType::kEstimate, WireStatus::kRejected, request_id,
-                      "tenant '" + tenant + "' exceeded its request rate");
-    return;
-  }
+                  req->received_us, obs::TraceRecorder::NowUs(),
+                  req->wire_bytes);
   server->in_flight_.fetch_add(1, std::memory_order_relaxed);
-  std::weak_ptr<Connection> weak = weak_from_this();
-  NetServer* srv = server;
-  NetServer::Worker* w = worker;
-  serve::RequestContext ctx;
-  ctx.trace = trace;
-  ctx.received_us = received_us;
-  ctx.tenant = tenant;
-  const auto status = server->backend_->SubmitAsync(
-      std::move(req.sketch), std::move(req.sql),
-      [weak, srv, w, stats, tracer, trace, received_us,
-       request_id](Result<double> result) {
-        // Runs on a serve worker; hop to the owning event loop so only
-        // that thread ever touches the connection.
-        std::string frame;
-        if (result.ok()) {
-          std::string payload_bytes;
-          AppendF64(&payload_bytes, *result);
-          AppendFrame(&frame, FrameType::kEstimate, WireStatus::kOk,
-                      request_id, payload_bytes);
-        } else {
-          AppendFrame(&frame, FrameType::kEstimate, WireStatus::kError,
-                      request_id, result.status().message());
-        }
-        const WireStatus wire =
-            result.ok() ? WireStatus::kOk : WireStatus::kError;
-        w->loop.Post([weak, srv, wire, stats, tracer, trace, received_us,
-                      frame = std::move(frame)] {
-          if (auto conn = weak.lock(); conn != nullptr && conn->open) {
-            const int64_t write_start_us = obs::TraceRecorder::NowUs();
-            srv->metrics_.Response(wire).Add();
-            conn->QueueWrite(frame);
-            const int64_t now_us = obs::TraceRecorder::NowUs();
-            obs::RecordSpan(tracer, trace.trace_id, trace.parent_span,
-                            "net_write", write_start_us, now_us,
-                            frame.size());
-            stats->completed->Add();
-            stats->latency_us->Record(static_cast<uint64_t>(
-                std::max<int64_t>(0, now_us - received_us)));
-          }
-          srv->in_flight_.fetch_sub(1, std::memory_order_release);
-        });
-      },
-      worker->index, std::move(ctx));
-  if (status != serve::SubmitStatus::kOk) {
-    server->in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    const bool shutdown = status == serve::SubmitStatus::kShuttingDown;
-    if (shutdown) {
-      stats->completed->Add();
-    } else {
-      stats->shed->Add();
-    }
-    CountAndSendFrame(
-        FrameType::kEstimate,
-        shutdown ? WireStatus::kError : WireStatus::kRejected, request_id,
-        shutdown ? "server is shutting down"
-                 : "server overloaded (queue full)");
-  }
-}
-
-namespace {
-
-/// Fan-in state for one ESTIMATE_BATCH frame: slots filled by serve
-/// workers (distinct indices, no lock needed), the last completion posts
-/// the response.
-struct BatchContext {
-  std::vector<Result<double>> results;
-  std::vector<serve::SubmitStatus> statuses;
-  std::atomic<size_t> remaining{0};
-  uint64_t request_id = 0;
-};
-
-void FinishBatch(const std::shared_ptr<BatchContext>& ctx,
-                 const std::weak_ptr<Connection>& weak, NetMetrics* metrics,
-                 std::atomic<uint64_t>* in_flight, EventLoop* loop,
-                 NetServer::TenantStats* stats, obs::TraceRecorder* tracer,
-                 obs::WireTraceContext trace, int64_t received_us) {
-  // Only ever called after HandleBatch released its guard token (below),
-  // so ctx->statuses is fully assigned and safe to read here.
-  const uint64_t accepted = static_cast<uint64_t>(
-      std::count(ctx->statuses.begin(), ctx->statuses.end(),
-                 serve::SubmitStatus::kOk));
-  std::string payload;
-  AppendU32(&payload, static_cast<uint32_t>(ctx->results.size()));
-  uint64_t ok = 0, error = 0;
-  for (size_t i = 0; i < ctx->results.size(); ++i) {
-    AppendBatchItem(&payload, ctx->results[i]);
-    if (ctx->statuses[i] != serve::SubmitStatus::kOk) continue;
-    if (ctx->results[i].ok()) {
-      ++ok;
-    } else {
-      ++error;
-    }
-  }
-  std::string frame;
-  AppendFrame(&frame, FrameType::kEstimateBatch, WireStatus::kOk,
-              ctx->request_id, payload);
-  loop->Post([weak, metrics, in_flight, ok, error, accepted, stats, tracer,
-              trace, received_us, frame = std::move(frame)] {
-    if (auto conn = weak.lock(); conn != nullptr && conn->open) {
-      const int64_t write_start_us = obs::TraceRecorder::NowUs();
-      metrics->responses_ok.Add(ok);
-      metrics->responses_error.Add(error);
-      conn->QueueWrite(frame);
-      const int64_t now_us = obs::TraceRecorder::NowUs();
-      obs::RecordSpan(tracer, trace.trace_id, trace.parent_span,
-                      "net_write", write_start_us, now_us, frame.size());
-      stats->completed->Add(ok + error);
-      const uint64_t latency = static_cast<uint64_t>(
-          std::max<int64_t>(0, now_us - received_us));
-      // One Record per answered item keeps the histogram's count aligned
-      // with the per-item submitted/completed counters.
-      for (uint64_t i = 0; i < ok + error; ++i) {
-        stats->latency_us->Record(latency);
-      }
-    }
-    in_flight->fetch_sub(accepted, std::memory_order_release);
-  });
-}
-
-}  // namespace
-
-void Connection::HandleBatch(uint64_t request_id, std::string_view payload,
-                             const obs::WireTraceContext& trace,
-                             int64_t received_us) {
-  NetServer::TenantStats* stats = Ledger();
-  obs::TraceRecorder* tracer = server->backend_->tracer();
-  EstimateBatchRequest req;
-  const auto parse_status = ParseEstimateBatchRequest(payload, &req);
-  obs::RecordSpan(tracer, trace.trace_id, trace.parent_span, "net_decode",
-                  received_us, obs::TraceRecorder::NowUs(), payload.size());
-  if (!parse_status.ok()) {
-    // A malformed batch's item count is unknowable; count one request so
-    // the requests/responses balance still holds.
-    server->metrics_.requests.Add();
-    stats->submitted->Add();
-    stats->completed->Add();
-    CountAndSendFrame(FrameType::kEstimateBatch, WireStatus::kError,
-                      request_id, parse_status.message());
-    return;
-  }
-  const size_t n = req.sqls.size();
+  // An undecodable request's statement count is unknowable; it counts as
+  // one so that requests and responses still balance.
+  const size_t n = req->decoded.ok() ? req->sqls.size() : 1;
   server->metrics_.requests.Add(n);
-  stats->submitted->Add(n);
-  if (n == 0) {
-    SendFrame(FrameType::kEstimateBatch, WireStatus::kOk, request_id,
-              std::string(4, '\0'));  // u32 count = 0
+  req->ledger->submitted->Add(n);
+  req->outcomes.assign(n, Outcome::kError);
+  req->results.assign(n, Status::Internal("pending"));
+  if (!req->decoded.ok()) {
+    req->results[0] = req->decoded;
+    Reply(server, req.get(), this);
     return;
   }
+
   const int64_t admit_start_us = obs::TraceRecorder::NowUs();
-  const bool admitted = server->admission_.Admit(tenant, server->NowSeconds(),
-                                                 static_cast<double>(n));
+  const bool admitted = server->admission_.Admit(
+      req->tenant, server->NowSeconds(), static_cast<double>(n));
   obs::RecordSpan(tracer, trace.trace_id, trace.parent_span,
                   "net_admission", admit_start_us,
                   obs::TraceRecorder::NowUs(), admitted ? 1 : 0);
   if (!admitted) {
     server->backend_->CountShed(n);
-    server->metrics_.responses_rejected.Add(n);
-    stats->rejected->Add(n);
-    SendFrame(FrameType::kEstimateBatch, WireStatus::kRejected, request_id,
-              "tenant '" + tenant + "' exceeded its request rate");
+    req->outcomes.assign(n, Outcome::kAdmissionRejected);
+    req->results.assign(n, Status::OutOfRange("tenant '" + req->tenant +
+                                              "' exceeded its request rate"));
+    Reply(server, req.get(), this);
     return;
   }
 
-  auto ctx = std::make_shared<BatchContext>();
-  ctx->request_id = request_id;
-  ctx->results.assign(n, Result<double>(Status::Internal("pending")));
+  // One token per statement plus a guard token held by this thread:
+  // accepted statements can settle on serve workers before
+  // SubmitManyAsync returns, and must not hand the request off until the
+  // refused statements' slots below are written.
+  req->remaining.store(n + 1, std::memory_order_relaxed);
+  serve::RequestContext ctx;
+  ctx.trace = trace;
+  ctx.received_us = req->received_us;
+  ctx.tenant = req->tenant;
   std::weak_ptr<Connection> weak = weak_from_this();
   NetServer* srv = server;
-  NetServer::Worker* w = worker;
-  serve::RequestContext req_ctx;
-  req_ctx.trace = trace;
-  req_ctx.received_us = received_us;
-  req_ctx.tenant = tenant;
-
-  // Count every item as in-flight up front; FinishBatch releases the
-  // accepted ones, the rejected ones are released below once known.
-  server->in_flight_.fetch_add(n, std::memory_order_relaxed);
-  // One extra token guards ctx->statuses: accepted-item callbacks can fire
-  // on serve workers before SubmitManyAsync returns, and must not find
-  // remaining == 1 (which would run FinishBatch, reading ctx->statuses)
-  // until this thread assigned statuses and released the guard below.
-  ctx->remaining.store(n + 1, std::memory_order_relaxed);
-  ctx->statuses = server->backend_->SubmitManyAsync(
-      req.sketch, std::move(req.sqls),
-      [ctx, weak, srv, w, stats, tracer, trace,
-       received_us](size_t index, Result<double> result) {
-        ctx->results[index] = std::move(result);
-        if (ctx->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          FinishBatch(ctx, weak, &srv->metrics_, &srv->in_flight_, &w->loop,
-                      stats, tracer, trace, received_us);
-        }
-      },
-      worker->index, std::move(req_ctx));
-
-  // Resolve the rejected slots ourselves (their callbacks never fire).
-  size_t rejected = 0;
+  EventLoop* loop = &worker->loop;
+  const std::vector<serve::SubmitStatus> statuses =
+      server->backend_->SubmitManyAsync(
+          req->sketch, std::move(req->sqls),
+          [req, weak, srv, loop](size_t i, Result<double> result) {
+            req->outcomes[i] = result.ok() ? Outcome::kOk : Outcome::kError;
+            req->results[i] = std::move(result);
+            if (req->remaining.fetch_sub(1, std::memory_order_acq_rel) ==
+                1) {
+              // Runs on a serve worker; hop to the owning event loop so
+              // only that thread ever touches the connection.
+              loop->Post([req, weak, srv] {
+                Reply(srv, req.get(), weak.lock().get());
+              });
+            }
+          },
+          worker->index, std::move(ctx));
+  size_t refused = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (ctx->statuses[i] == serve::SubmitStatus::kOk) continue;
-    ++rejected;
-    const bool shutdown =
-        ctx->statuses[i] == serve::SubmitStatus::kShuttingDown;
-    ctx->results[i] = Result<double>(Status::OutOfRange(
-        shutdown ? "server is shutting down" : "rejected: queue full"));
+    if (statuses[i] == serve::SubmitStatus::kOk) continue;
+    ++refused;
+    const bool shutdown = statuses[i] == serve::SubmitStatus::kShuttingDown;
+    req->outcomes[i] =
+        shutdown ? Outcome::kShuttingDown : Outcome::kQueueFull;
+    req->results[i] =
+        Status::OutOfRange(shutdown ? "server is shutting down"
+                                    : "server overloaded (queue full)");
   }
-  if (rejected > 0) {
-    server->metrics_.responses_rejected.Add(rejected);
-    stats->shed->Add(rejected);
-    server->in_flight_.fetch_sub(rejected, std::memory_order_relaxed);
+  // Release the refused statements' tokens and the guard. The acq_rel
+  // chain on `remaining` publishes the slots written here to whichever
+  // thread settles last; if that is this one, reply right away.
+  if (req->remaining.fetch_sub(refused + 1, std::memory_order_acq_rel) ==
+      refused + 1) {
+    Reply(server, req.get(), this);
+  } else if (req->codec == Codec::kHttp) {
+    // Hold further pipelined requests until this reply is queued, so
+    // HTTP/1.1 responses go out in request order.
+    http_busy = true;
   }
-  // Release the rejected items' tokens plus the statuses guard token. The
-  // acq_rel RMW chain on `remaining` publishes statuses and the rejected
-  // results to whichever callback ends up running FinishBatch; if every
-  // accepted callback already fired, finishing the batch is on us.
-  if (ctx->remaining.fetch_sub(rejected + 1, std::memory_order_acq_rel) ==
-      rejected + 1) {
-    FinishBatch(ctx, weak, &srv->metrics_, &srv->in_flight_, &w->loop,
-                stats, tracer, trace, received_us);
+}
+
+// Runs on the owning loop once every statement of `req` has settled.
+// `conn` is null (or closed) when the client hung up meanwhile: the reply
+// bytes are lost, but the outcomes are booked all the same, so requests
+// and responses still balance.
+void Connection::Reply(NetServer* server, WireRequest* req,
+                       Connection* conn) {
+  const int64_t write_start_us = obs::TraceRecorder::NowUs();
+  uint64_t settled[std::size(kOutcomes)] = {};
+  for (const Outcome outcome : req->outcomes) {
+    ++settled[static_cast<size_t>(outcome)];
   }
+  uint64_t answered = 0;
+  for (size_t o = 0; o < std::size(kOutcomes); ++o) {
+    if (settled[o] == 0) continue;
+    server->metrics_.Response(kOutcomes[o].wire).Add(settled[o]);
+    (req->ledger->*kOutcomes[o].column)->Add(settled[o]);
+    if (kOutcomes[o].column == &LedgerRow::completed) answered += settled[o];
+  }
+  const std::string reply = EncodeReply(*req);
+  if (conn != nullptr) conn->QueueWrite(reply);
+  const int64_t now_us = obs::TraceRecorder::NowUs();
+  obs::RecordSpan(server->backend_->tracer(), req->trace.trace_id,
+                  req->trace.parent_span, "net_write", write_start_us, now_us,
+                  reply.size());
+  // One Record per answered statement keeps the histogram's count equal to
+  // the ledger's completed column.
+  const uint64_t latency_us = static_cast<uint64_t>(
+      std::max<int64_t>(0, now_us - req->received_us));
+  for (uint64_t i = 0; i < answered; ++i) {
+    req->ledger->latency_us->Record(latency_us);
+  }
+  if (conn != nullptr && req->codec == Codec::kHttp) {
+    const bool resume = std::exchange(conn->http_busy, false);
+    if (req->close) {
+      conn->CloseAfterFlush();
+    } else if (resume) {
+      conn->Dispatch();  // the pipelined requests buffered while busy
+    }
+  }
+  server->in_flight_.fetch_sub(1, std::memory_order_release);
 }
 
 void Connection::DispatchHttp() {
@@ -784,131 +822,26 @@ void Connection::HandleHttpRequest(const HttpRequest& req) {
     return;
   }
 
-  server->metrics_.requests.Add();
-  auto sketch = ExtractJsonStringField(req.body, "sketch");
-  auto sql = ExtractJsonStringField(req.body, "sql");
-  const std::string http_tenant =
-      req.Header("x-ds-tenant").value_or(tenant);
-  NetServer::TenantStats* stats =
-      http_tenant == tenant ? Ledger() : server->Tenant(http_tenant);
-  stats->submitted->Add();
   // X-DS-Trace carries the same context the binary protocol puts behind
   // kFlagTraceContext; a malformed value is treated as unsampled.
   obs::WireTraceContext trace;
   if (auto header = req.Header("x-ds-trace"); header.has_value()) {
     (void)obs::ParseTraceHeader(*header, &trace);
   }
-  obs::TraceRecorder* tracer = server->backend_->tracer();
-  obs::RecordSpan(tracer, trace.trace_id, trace.parent_span, "net_decode",
-                  received_us, obs::TraceRecorder::NowUs(),
-                  req.body.size());
-  if (!sketch.has_value() || !sql.has_value()) {
-    server->metrics_.responses_error.Add();
-    stats->completed->Add();
-    QueueWrite(BuildHttpResponse(
-        400, "application/json",
-        "{\"error\":\"body must be {\\\"sketch\\\": ..., \\\"sql\\\": "
-        "...}\"}\n",
-        close));
-    if (close) CloseAfterFlush();
-    return;
+  auto estimate =
+      NewRequest(Codec::kHttp, req.Header("x-ds-tenant").value_or(tenant),
+                 trace, received_us, req.body.size());
+  estimate->close = close;
+  auto sketch = ExtractJsonStringField(req.body, "sketch");
+  auto sql = ExtractJsonStringField(req.body, "sql");
+  if (sketch.has_value() && sql.has_value()) {
+    estimate->sketch = std::move(*sketch);
+    estimate->sqls.push_back(std::move(*sql));
+  } else {
+    estimate->decoded = Status::InvalidArgument(
+        "body must be {\"sketch\": ..., \"sql\": ...}");
   }
-  const int64_t admit_start_us = obs::TraceRecorder::NowUs();
-  const bool admitted =
-      server->admission_.Admit(http_tenant, server->NowSeconds());
-  obs::RecordSpan(tracer, trace.trace_id, trace.parent_span,
-                  "net_admission", admit_start_us,
-                  obs::TraceRecorder::NowUs(), admitted ? 1 : 0);
-  if (!admitted) {
-    server->backend_->CountShed();
-    server->metrics_.responses_rejected.Add();
-    stats->rejected->Add();
-    QueueWrite(BuildHttpResponse(
-        429, "application/json",
-        "{\"error\":\"tenant '" + JsonEscape(http_tenant) +
-            "' exceeded its request rate\"}\n",
-        close));
-    if (close) CloseAfterFlush();
-    return;
-  }
-
-  server->in_flight_.fetch_add(1, std::memory_order_relaxed);
-  // Hold further pipelined requests until this response is queued, so
-  // HTTP/1.1 responses go out in request order even though the estimate
-  // completes asynchronously.
-  http_busy = true;
-  std::weak_ptr<Connection> weak = weak_from_this();
-  NetServer* srv = server;
-  NetServer::Worker* w = worker;
-  serve::RequestContext req_ctx;
-  req_ctx.trace = trace;
-  req_ctx.received_us = received_us;
-  req_ctx.tenant = http_tenant;
-  const auto status = server->backend_->SubmitAsync(
-      std::move(*sketch), std::move(*sql),
-      [weak, srv, w, close, stats, tracer, trace,
-       received_us](Result<double> result) {
-        std::string response;
-        WireStatus wire;
-        if (result.ok()) {
-          char body[64];
-          std::snprintf(body, sizeof(body), "{\"estimate\":%.1f}\n",
-                        *result);
-          response = BuildHttpResponse(200, "application/json", body, close);
-          wire = WireStatus::kOk;
-        } else {
-          response = BuildHttpResponse(
-              400, "application/json",
-              "{\"error\":\"" + JsonEscape(result.status().message()) +
-                  "\"}\n",
-              close);
-          wire = WireStatus::kError;
-        }
-        w->loop.Post(
-            [weak, srv, wire, close, stats, tracer, trace, received_us,
-             response = std::move(response)] {
-              if (auto conn = weak.lock(); conn != nullptr && conn->open) {
-                const int64_t write_start_us = obs::TraceRecorder::NowUs();
-                srv->metrics_.Response(wire).Add();
-                conn->http_busy = false;
-                conn->QueueWrite(response);
-                const int64_t now_us = obs::TraceRecorder::NowUs();
-                obs::RecordSpan(tracer, trace.trace_id, trace.parent_span,
-                                "net_write", write_start_us, now_us,
-                                response.size());
-                stats->completed->Add();
-                stats->latency_us->Record(static_cast<uint64_t>(
-                    std::max<int64_t>(0, now_us - received_us)));
-                if (close) {
-                  conn->CloseAfterFlush();
-                } else if (conn->open) {
-                  // Drain any pipelined requests buffered while busy.
-                  conn->Dispatch();
-                }
-              }
-              srv->in_flight_.fetch_sub(1, std::memory_order_release);
-            });
-      },
-      worker->index, std::move(req_ctx));
-  if (status != serve::SubmitStatus::kOk) {
-    http_busy = false;
-    server->in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    const bool shutdown = status == serve::SubmitStatus::kShuttingDown;
-    if (shutdown) {
-      stats->completed->Add();
-    } else {
-      stats->shed->Add();
-    }
-    server->metrics_
-        .Response(shutdown ? WireStatus::kError : WireStatus::kRejected)
-        .Add();
-    QueueWrite(BuildHttpResponse(
-        shutdown ? 503 : 429, "application/json",
-        shutdown ? "{\"error\":\"server is shutting down\"}\n"
-                 : "{\"error\":\"server overloaded (queue full)\"}\n",
-        close));
-    if (close) CloseAfterFlush();
-  }
+  Serve(std::move(estimate));
 }
 
 void Connection::SendFrame(FrameType type, WireStatus status,
@@ -916,13 +849,6 @@ void Connection::SendFrame(FrameType type, WireStatus status,
   std::string frame;
   AppendFrame(&frame, type, status, request_id, payload);
   QueueWrite(frame);
-}
-
-void Connection::CountAndSendFrame(FrameType type, WireStatus status,
-                                   uint64_t request_id,
-                                   std::string_view payload) {
-  server->metrics_.Response(status).Add();
-  SendFrame(type, status, request_id, payload);
 }
 
 void Connection::QueueWrite(std::string_view bytes) {

@@ -4,7 +4,7 @@
 //
 //   client sockets                    batching core (ds::serve)
 //        |                                   ^
-//   +----v-----------+   SubmitAsync         |
+//   +----v-----------+  SubmitManyAsync      |
 //   | worker 0       |  (shard hint 0) +-----+------+
 //   |  epoll loop    +---------------->| SketchServer|--> workers, NN
 //   |  accept+io     |<----Post()------+  queues     |
@@ -24,6 +24,13 @@
 // owning loop; response bytes are only ever written by the worker that
 // owns the connection, so connection state needs no locks.
 //
+// One request pipeline serves all three estimate requests (binary
+// ESTIMATE, ESTIMATE_BATCH and HTTP POST /estimate): each protocol only
+// decodes its bytes into one request of n statements and encodes the
+// reply; admission (at cost n), the SubmitManyAsync group, the spans and
+// the books are shared, and one outcome table maps every statement's
+// outcome to its wire status, HTTP code and tenant-ledger column.
+//
 // Workers are pinned one-per-physical-core via ds/util/cpu_topology
 // (best-effort: pinning failures are ignored — a correctness-neutral
 // optimization, see that header).
@@ -41,15 +48,19 @@
 //   ds_net_requests_total              estimate requests received (batch
 //                                      items count individually)
 //   ds_net_responses_total{status=ok|error|rejected}
+//                                      estimate requests answered, counted
+//                                      when the reply is ready even if the
+//                                      client has hung up meanwhile
 //   ds_net_http_requests_total, ds_net_protocol_errors_total
 //   ds_net_bytes_read_total / ds_net_bytes_written_total
 //   ds_net_uptime_seconds, ds_build_info{git_sha,...}
 //   ds_net_loop_wakeups_total{loop=i} / ds_net_loop_lag_us{loop=i}
 //   ds_net_tenant_requests_total{tenant=...} (+ completed/rejected/shed
 //   and a per-tenant latency histogram — the /statusz ledger)
-// Invariant after a drained shutdown:
+// Invariants after a drained shutdown:
 //   ds_net_requests_total == sum over status of ds_net_responses_total
-// (the CI integration smoke asserts exactly this from a live scrape).
+//   per tenant: requests == completed + rejected + shed
+// (the CI integration smoke asserts the first from a live scrape).
 //
 // Admin plane (same HTTP listener, backed by the same private registry):
 //   GET /healthz   liveness ("ok")
@@ -179,7 +190,9 @@ class NetServer {
     obs::Counter* completed = nullptr;   // answered ok or error
     obs::Counter* rejected = nullptr;    // admission-control (rate) refusals
     obs::Counter* shed = nullptr;        // queue-full backpressure sheds
-    obs::Histogram* latency_us = nullptr;  // receive -> response queued
+    /// Receive -> reply queued, one sample per completed request (batch
+    /// items count individually).
+    obs::Histogram* latency_us = nullptr;
   };
 
   /// The ledger row for `name`, created on first use. Thread-safe.
@@ -222,7 +235,7 @@ class NetServer {
 
   std::atomic<bool> accepting_{false};
   std::atomic<bool> draining_{false};
-  std::atomic<uint64_t> in_flight_{0};  // accepted estimates awaiting reply
+  std::atomic<uint64_t> in_flight_{0};  // wire requests awaiting reply
   std::atomic<size_t> active_connections_{0};
   std::atomic<int64_t> start_us_{0};  // steady-clock us at successful Start
 

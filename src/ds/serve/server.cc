@@ -239,7 +239,7 @@ SubmitStatus SketchServer::TryEnqueueLocked(Shard* shard, Request* req) {
 
 void SketchServer::ResolveRequest(Request* req, Result<double> result) {
   if (req->callback) {
-    req->callback(std::move(result));
+    (*req->callback)(req->index, std::move(result));
   } else {
     req->promise.set_value(std::move(result));
   }
@@ -257,16 +257,16 @@ void SketchServer::RejectRequest(Request* req, SubmitStatus status) {
   if (!req->callback) req->promise.set_value(std::move(error));
 }
 
-Submission SketchServer::Submit(std::string sketch_name, std::string sql,
-                                RequestContext ctx) {
-  Request req;
-  req.sketch = std::move(sketch_name);
-  req.sql = std::move(sql);
-  req.enqueue_time = std::chrono::steady_clock::now();
-  ApplyContext(&req, ctx);
-  Submission submission;
-  submission.future = req.promise.get_future();
-  Shard* shard = PickShard(std::nullopt);
+std::vector<SubmitStatus> SketchServer::EnqueueGroup(
+    std::vector<Request>* group, std::optional<size_t> shard_hint,
+    const RequestContext& ctx) {
+  const auto now = std::chrono::steady_clock::now();
+  for (Request& req : *group) {
+    req.enqueue_time = now;
+    ApplyContext(&req, ctx);
+  }
+  std::vector<SubmitStatus> statuses(group->size());
+  Shard* shard = PickShard(shard_hint);
   bool wake = false;
   {
     util::MutexLock lock(shard->mu);
@@ -274,124 +274,61 @@ Submission SketchServer::Submit(std::string sketch_name, std::string sql,
     // empty -> non-empty transition (a non-empty queue means a worker was
     // already woken for it and will sweep these requests up too).
     const bool was_empty = shard->queue.empty();
-    submission.status = TryEnqueueLocked(shard, &req);
-    wake = submission.accepted() && was_empty;
+    for (size_t i = 0; i < group->size(); ++i) {
+      statuses[i] = TryEnqueueLocked(shard, &(*group)[i]);
+      wake = wake || (statuses[i] == SubmitStatus::kOk && was_empty);
+    }
   }
   if (wake) shard->cv.NotifyOne();
-  if (!submission.accepted()) RejectRequest(&req, submission.status);
-  return submission;
+  for (size_t i = 0; i < group->size(); ++i) {
+    if (statuses[i] != SubmitStatus::kOk) {
+      RejectRequest(&(*group)[i], statuses[i]);
+    }
+  }
+  return statuses;
+}
+
+Submission SketchServer::Submit(std::string sketch_name, std::string sql,
+                                RequestContext ctx) {
+  std::vector<std::string> sqls(1);
+  sqls[0] = std::move(sql);
+  return std::move(SubmitMany(sketch_name, std::move(sqls), ctx).front());
 }
 
 std::vector<Submission> SketchServer::SubmitMany(
     const std::string& sketch_name, std::vector<std::string> sqls,
     RequestContext ctx) {
-  std::vector<Submission> submissions;
-  submissions.reserve(sqls.size());
-  std::vector<Request> rejected;  // resolved outside the shard lock
-  const auto now = std::chrono::steady_clock::now();
-  Shard* shard = PickShard(std::nullopt);
-  bool wake = false;
-  {
-    util::MutexLock lock(shard->mu);
-    const bool was_empty = shard->queue.empty();
-    bool accepted_any = false;
-    for (std::string& sql : sqls) {
-      Request req;
-      req.sketch = sketch_name;
-      req.sql = std::move(sql);
-      req.enqueue_time = now;
-      ApplyContext(&req, ctx);
-      Submission submission;
-      submission.future = req.promise.get_future();
-      submission.status = TryEnqueueLocked(shard, &req);
-      if (submission.accepted()) {
-        accepted_any = true;
-      } else {
-        rejected.push_back(std::move(req));
-      }
-      submissions.push_back(std::move(submission));
-    }
-    wake = accepted_any && was_empty;
+  std::vector<Request> group(sqls.size());
+  std::vector<Submission> submissions(sqls.size());
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    group[i].sketch = sketch_name;
+    group[i].sql = std::move(sqls[i]);
+    submissions[i].future = group[i].promise.get_future();
   }
-  if (wake) shard->cv.NotifyOne();
-  size_t r = 0;
-  for (Submission& s : submissions) {
-    if (!s.accepted()) RejectRequest(&rejected[r++], s.status);
+  const std::vector<SubmitStatus> statuses =
+      EnqueueGroup(&group, std::nullopt, ctx);
+  for (size_t i = 0; i < statuses.size(); ++i) {
+    submissions[i].status = statuses[i];
   }
-  DS_ENSURE(submissions.size() == sqls.size(),
-            "SubmitMany produced %zu submissions for %zu statements",
-            submissions.size(), sqls.size());
   return submissions;
-}
-
-SubmitStatus SketchServer::SubmitAsync(std::string sketch_name,
-                                       std::string sql,
-                                       EstimateCallback callback,
-                                       std::optional<size_t> shard_hint,
-                                       RequestContext ctx) {
-  DS_REQUIRE(static_cast<bool>(callback),
-             "SubmitAsync requires a completion callback");
-  Request req;
-  req.sketch = std::move(sketch_name);
-  req.sql = std::move(sql);
-  req.callback = std::move(callback);
-  req.enqueue_time = std::chrono::steady_clock::now();
-  ApplyContext(&req, ctx);
-  Shard* shard = PickShard(shard_hint);
-  SubmitStatus status;
-  bool wake = false;
-  {
-    util::MutexLock lock(shard->mu);
-    const bool was_empty = shard->queue.empty();
-    status = TryEnqueueLocked(shard, &req);
-    wake = status == SubmitStatus::kOk && was_empty;
-  }
-  if (wake) shard->cv.NotifyOne();
-  if (status != SubmitStatus::kOk) RejectRequest(&req, status);
-  return status;
 }
 
 std::vector<SubmitStatus> SketchServer::SubmitManyAsync(
     const std::string& sketch_name, std::vector<std::string> sqls,
-    std::function<void(size_t, Result<double>)> callback,
-    std::optional<size_t> shard_hint, RequestContext ctx) {
+    EstimateCallback callback, std::optional<size_t> shard_hint,
+    RequestContext ctx) {
   DS_REQUIRE(static_cast<bool>(callback),
              "SubmitManyAsync requires a completion callback");
-  std::vector<SubmitStatus> statuses;
-  statuses.reserve(sqls.size());
-  std::vector<Request> rejected;
-  const auto now = std::chrono::steady_clock::now();
-  Shard* shard = PickShard(shard_hint);
-  bool wake = false;
-  {
-    util::MutexLock lock(shard->mu);
-    const bool was_empty = shard->queue.empty();
-    bool accepted_any = false;
-    for (size_t i = 0; i < sqls.size(); ++i) {
-      Request req;
-      req.sketch = sketch_name;
-      req.sql = std::move(sqls[i]);
-      req.callback = [callback, i](Result<double> result) {
-        callback(i, std::move(result));
-      };
-      req.enqueue_time = now;
-      ApplyContext(&req, ctx);
-      const SubmitStatus status = TryEnqueueLocked(shard, &req);
-      if (status == SubmitStatus::kOk) {
-        accepted_any = true;
-      } else {
-        rejected.push_back(std::move(req));
-      }
-      statuses.push_back(status);
-    }
-    wake = accepted_any && was_empty;
+  const auto shared =
+      std::make_shared<const EstimateCallback>(std::move(callback));
+  std::vector<Request> group(sqls.size());
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    group[i].sketch = sketch_name;
+    group[i].sql = std::move(sqls[i]);
+    group[i].callback = shared;
+    group[i].index = i;
   }
-  if (wake) shard->cv.NotifyOne();
-  size_t r = 0;
-  for (SubmitStatus status : statuses) {
-    if (status != SubmitStatus::kOk) RejectRequest(&rejected[r++], status);
-  }
-  return statuses;
+  return EnqueueGroup(&group, shard_hint, ctx);
 }
 
 void SketchServer::Stop() {

@@ -149,10 +149,11 @@ struct ServerOptions {
   std::function<void(const std::string& json)> stats_dump_sink;
 };
 
-/// Completion hook for the callback submission path. Invoked exactly once,
-/// from a server worker thread (or from the submitting thread when the
-/// request is rejected). Must not call back into Submit* synchronously.
-using EstimateCallback = std::function<void(Result<double>)>;
+/// Completion hook for SubmitManyAsync: `callback(index, result)` fires
+/// exactly once per accepted statement, from a server worker thread, with
+/// the statement's position in the submitted group. Must not call back
+/// into Submit* synchronously.
+using EstimateCallback = std::function<void(size_t index, Result<double>)>;
 
 /// Per-request context the transport layer knows and the serve layer
 /// should carry: a wire-adopted trace (one coherent trace across client →
@@ -204,23 +205,17 @@ class SketchServer {
                                      std::vector<std::string> sqls,
                                      RequestContext ctx = {});
 
-  /// Callback-based Submit for event-loop callers that must not block on a
-  /// future. On kOk, `callback` fires exactly once from a worker thread; on
-  /// rejection the callback is NOT invoked (the caller already knows the
-  /// typed reason and answers the client itself). `shard_hint` routes the
-  /// request to shard hint % num_queue_shards — pass a stable per-thread
-  /// value to keep one event loop's traffic on one shard.
-  SubmitStatus SubmitAsync(std::string sketch_name, std::string sql,
-                           EstimateCallback callback,
-                           std::optional<size_t> shard_hint = std::nullopt,
-                           RequestContext ctx = {});
-
-  /// Bulk SubmitAsync: `callback(index, result)` fires once per accepted
-  /// request; the returned statuses line up with `sqls` and rejected
-  /// entries never invoke the callback.
+  /// Callback-based SubmitMany for event-loop callers that must not block
+  /// on a future. `callback(index, result)` fires once per accepted
+  /// statement from a worker thread; the returned statuses line up with
+  /// `sqls`, and rejected entries never invoke the callback (the caller
+  /// already knows the typed reason and answers the client itself).
+  /// `shard_hint` routes the group to shard hint % num_queue_shards — pass
+  /// a stable per-thread value to keep one event loop's traffic on one
+  /// shard.
   std::vector<SubmitStatus> SubmitManyAsync(
       const std::string& sketch_name, std::vector<std::string> sqls,
-      std::function<void(size_t, Result<double>)> callback,
+      EstimateCallback callback,
       std::optional<size_t> shard_hint = std::nullopt,
       RequestContext ctx = {});
 
@@ -268,7 +263,9 @@ class SketchServer {
     std::string sketch;
     std::string sql;
     std::promise<Result<double>> promise;   // unused when callback is set
-    EstimateCallback callback;              // empty = promise path
+    // Shared by the whole SubmitManyAsync group; null = promise path.
+    std::shared_ptr<const EstimateCallback> callback;
+    size_t index = 0;  // position in the group, passed to the callback
     std::chrono::steady_clock::time_point enqueue_time;
     uint64_t trace_id = 0;     // 0 = unsampled
     uint64_t root_span = 0;    // pre-allocated "estimate" span id
@@ -291,10 +288,18 @@ class SketchServer {
 
   Shard* PickShard(std::optional<size_t> hint);
 
+  /// The one enqueue behind Submit, SubmitMany and SubmitManyAsync: stamps
+  /// and traces every request of `group`, pushes them onto one shard under
+  /// one lock acquisition (waking at most one worker), then counts and
+  /// resolves the rejected ones outside the lock. The statuses line up
+  /// with `group`; accepted requests are moved out of it.
+  std::vector<SubmitStatus> EnqueueGroup(std::vector<Request>* group,
+                                         std::optional<size_t> shard_hint,
+                                         const RequestContext& ctx);
+
   /// Pushes `req` onto the shard's queue if it has room and the server is
   /// not stopping. Never resolves the request: on a non-kOk return the
-  /// caller rejects it outside the lock (see RejectRequest). The caller is
-  /// responsible for waking a worker.
+  /// caller rejects it outside the lock (see RejectRequest).
   SubmitStatus TryEnqueueLocked(Shard* shard, Request* req)
       DS_REQUIRES(shard->mu);
 

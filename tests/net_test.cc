@@ -3,14 +3,18 @@
 // parser and JSON helpers, and end-to-end server tests over real loopback
 // sockets — binary protocol (estimate, batch, ping, stats, hello/tenant,
 // pipelining, admission rejection), the HTTP endpoints, concurrent
-// clients, and the requests == responses balance after a clean shutdown.
+// clients, golden reply bytes for every request kind and outcome, and the
+// wire and tenant ledgers balancing after a clean shutdown (also when a
+// client hangs up mid-request or the backend stops first).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -35,6 +39,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 #endif
 
@@ -479,7 +484,8 @@ class NetServerTest : public ::testing::Test {
   }
 
   /// Shuts down front-then-backend and asserts the smoke invariant:
-  /// every request got exactly one response.
+  /// every request got exactly one response, and every tenant's ledger
+  /// row settles (submitted = completed + rejected + shed).
   void StopAndCheckBalance(NetServer* server) {
     server->Stop();
     backend_->Stop();
@@ -491,6 +497,33 @@ class NetServerTest : public ::testing::Test {
                               {{"status", net::WireStatusName(s)}});
     }
     EXPECT_EQ(requests, responses);
+    const obs::RegistrySnapshot snapshot = server->registry()->Snapshot();
+    for (const obs::MetricSnapshot& m : snapshot.metrics) {
+      if (m.name != "ds_net_tenant_requests_total") continue;
+      uint64_t settled = 0;
+      for (const char* column :
+           {"ds_net_tenant_completed_total", "ds_net_tenant_rejected_total",
+            "ds_net_tenant_shed_total"}) {
+        settled += NetCounter(*server, column, m.labels);
+      }
+      EXPECT_EQ(static_cast<uint64_t>(m.value), settled)
+          << "tenant ledger unsettled: " << m.labels.front().second;
+    }
+  }
+
+  /// A backend whose single worker takes the in-process request it is
+  /// given first and then lingers in that batch (a minute, or until Stop)
+  /// for more requests on the same sketch. Wire requests for any other
+  /// sketch stay queued behind it until Stop drains the queue.
+  void HoldBackend(size_t queue_capacity) {
+    serve::ServerOptions options;
+    options.num_workers = 1;
+    options.num_queue_shards = 1;
+    options.queue_capacity = queue_capacity;
+    options.max_wait_us = 60'000'000;
+    backend_ =
+        std::make_unique<serve::SketchServer>(registry_.get(), options);
+    (void)backend_->Submit("held", kSql);
   }
 
   /// Rebuilds backend_ with an external trace recorder. The recorder's own
@@ -1085,6 +1118,434 @@ TEST_F(NetServerTest, TraversalSketchNameRejectedOverWire) {
   EXPECT_EQ(response.find("\"estimate\":"), std::string::npos);
   StopAndCheckBalance(server.get());
 }
+
+// ------------------------------------------------- golden reply bytes
+
+/// A loopback socket for byte-exact exchanges: sends what it is given and
+/// reads exactly one reply, so keep-alive connections can be checked as
+/// well as closing ones. Reads give up after 20 s instead of hanging.
+class RawConn {
+ public:
+  explicit RawConn(uint16_t port) : fd_(socket(AF_INET, SOCK_STREAM, 0)) {
+    EXPECT_TRUE(fd_.valid());
+    timeval timeout{20, 0};
+    setsockopt(fd_.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+               sizeof(timeout));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    EXPECT_EQ(connect(fd_.get(), reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+              0);
+  }
+
+  void Send(const std::string& bytes) {
+    size_t off = 0;
+    while (off < bytes.size()) {
+      const ssize_t n =
+          write(fd_.get(), bytes.data() + off, bytes.size() - off);
+      ASSERT_GT(n, 0);
+      off += static_cast<size_t>(n);
+    }
+  }
+
+  /// One binary frame: header plus the payload size it announces.
+  std::string ReadFrame() {
+    if (!Fill(net::kFrameHeaderSize)) return Take(buf_.size());
+    FrameHeader header;
+    EXPECT_TRUE(net::DecodeFrameHeader(buf_.data(), &header).ok());
+    Fill(net::kFrameHeaderSize + header.payload_size);
+    return Take(net::kFrameHeaderSize + header.payload_size);
+  }
+
+  /// One HTTP response: head plus the Content-Length body.
+  std::string ReadHttp() {
+    size_t head_end;
+    while ((head_end = buf_.find("\r\n\r\n")) == std::string::npos) {
+      if (!Fill(buf_.size() + 1)) return Take(buf_.size());
+    }
+    head_end += 4;
+    const size_t at = buf_.find("Content-Length: ");
+    const size_t length =
+        at < head_end ? std::stoul(buf_.substr(at + 16)) : 0;
+    Fill(head_end + length);
+    return Take(head_end + length);
+  }
+
+  /// True when the server has closed its end (read returns EOF).
+  bool AtEof() { return buf_.empty() && !Fill(1); }
+
+ private:
+  bool Fill(size_t n) {
+    char chunk[4096];
+    while (buf_.size() < n) {
+      const ssize_t got = read(fd_.get(), chunk, sizeof(chunk));
+      if (got <= 0) return false;
+      buf_.append(chunk, static_cast<size_t>(got));
+    }
+    return true;
+  }
+
+  std::string Take(size_t n) {
+    n = std::min(n, buf_.size());
+    std::string out = buf_.substr(0, n);
+    buf_.erase(0, n);
+    return out;
+  }
+
+  util::UniqueFd fd_;
+  std::string buf_;
+};
+
+/// `bytes` with every non-printable byte as \xNN, so a golden mismatch
+/// prints a readable diff.
+std::string Printable(std::string_view bytes) {
+  std::string out;
+  for (const unsigned char c : bytes) {
+    if (c >= 0x20 && c < 0x7f && c != '\\') {
+      out += static_cast<char>(c);
+    } else {
+      char hex[8];
+      std::snprintf(hex, sizeof(hex), "\\x%02x", c);
+      out += hex;
+    }
+  }
+  return out;
+}
+
+/// `v` as `bytes` little-endian bytes, written out by hand so the goldens
+/// do not lean on the encoder under test.
+std::string Le(uint64_t v, int bytes) {
+  std::string out;
+  for (int i = 0; i < bytes; ++i) {
+    out += static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+  return out;
+}
+
+std::string GoldenF64(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return Le(bits, 8);
+}
+
+std::string GoldenFrame(uint8_t type, uint8_t status, uint64_t id,
+                        std::string_view payload) {
+  return Le(payload.size(), 4) + Le(type, 1) + Le(status, 1) + Le(0, 2) +
+         Le(id, 8) + std::string(payload);
+}
+
+std::string GoldenItem(double v) { return Le(1, 1) + GoldenF64(v); }
+
+std::string GoldenItem(std::string_view message) {
+  return Le(0, 1) + Le(message.size(), 4) + std::string(message);
+}
+
+std::string GoldenHttp(std::string_view status_line, std::string_view body,
+                       bool close) {
+  return "HTTP/1.1 " + std::string(status_line) +
+         "\r\nContent-Type: application/json\r\nContent-Length: " +
+         std::to_string(body.size()) + "\r\nConnection: " +
+         (close ? "close" : "keep-alive") + "\r\n\r\n" + std::string(body);
+}
+
+std::string EstimateBody(std::string_view sketch, std::string_view sql) {
+  return R"({"sketch": ")" + std::string(sketch) + R"(", "sql": ")" +
+         std::string(sql) + R"("})";
+}
+
+std::string HttpRequestBytes(std::string_view method, std::string_view path,
+                             std::string_view body, bool close) {
+  return std::string(method) + " " + std::string(path) +
+         " HTTP/1.1\r\nHost: t\r\nContent-Length: " +
+         std::to_string(body.size()) +
+         (close ? "\r\nConnection: close" : "") + "\r\n\r\n" +
+         std::string(body);
+}
+
+std::string BinaryFrame(FrameType type, uint64_t id,
+                        std::string_view payload) {
+  std::string out(net::kMagic, net::kMagicSize);
+  net::AppendFrame(&out, type, WireStatus::kOk, id, payload);
+  return out;
+}
+
+std::string EstimateFrame(uint64_t id, std::string_view sketch,
+                          std::string_view sql) {
+  std::string payload;
+  net::AppendEstimateRequest(
+      &payload, net::EstimateRequest{std::string(sketch), std::string(sql)});
+  return BinaryFrame(FrameType::kEstimate, id, payload);
+}
+
+std::string BatchFrame(uint64_t id, std::string_view sketch,
+                       std::vector<std::string> sqls) {
+  std::string payload;
+  net::AppendEstimateBatchRequest(
+      &payload,
+      net::EstimateBatchRequest{std::string(sketch), std::move(sqls)});
+  return BinaryFrame(FrameType::kEstimateBatch, id, payload);
+}
+
+// Every wire estimate reply, byte for byte, for each request kind and
+// outcome. The replies are spelled out field by field rather than built
+// with the server's encoders; only the estimate itself comes from the
+// in-process EstimateSql.
+TEST_F(NetServerTest, GoldenReplyBytes) {
+  enum class Stage { kServing, kTenantChoked, kQueueFull, kBackendStopped };
+  struct Golden {
+    std::string name;
+    Stage stage;
+    std::string request;
+    std::string reply;
+    bool http = false;
+    bool closes = false;
+  };
+  constexpr char kBindSql[] = "SELECT COUNT(*) FROM nosuch n";
+  const double value =
+      registry_->Get("tiny").value()->EstimateSql(kSql).value();
+  char ok_body[64];
+  std::snprintf(ok_body, sizeof(ok_body), "{\"estimate\":%.1f}\n", value);
+  const std::string bind_error = "no table 'nosuch'";
+  const std::string unknown_sketch =
+      "cannot open for reading: " + *dir_ + "/nope.sketch";
+  const std::string choked = "tenant 'default' exceeded its request rate";
+
+  std::vector<Golden> cases = {
+      {"estimate ok", Stage::kServing, EstimateFrame(7, "tiny", kSql),
+       GoldenFrame(3, 0, 7, GoldenF64(value))},
+      {"estimate bind error", Stage::kServing,
+       EstimateFrame(7, "tiny", kBindSql), GoldenFrame(3, 1, 7, bind_error)},
+      {"estimate unknown sketch", Stage::kServing,
+       EstimateFrame(7, "nope", kSql), GoldenFrame(3, 1, 7, unknown_sketch)},
+      {"estimate malformed", Stage::kServing,
+       BinaryFrame(FrameType::kEstimate, 7, "\x01"),
+       GoldenFrame(3, 1, 7, "malformed ESTIMATE payload")},
+      {"estimate admission reject", Stage::kTenantChoked,
+       EstimateFrame(7, "tiny", kSql), GoldenFrame(3, 2, 7, choked)},
+      {"estimate queue full", Stage::kQueueFull,
+       EstimateFrame(7, "tiny", kSql),
+       GoldenFrame(3, 2, 7, "server overloaded (queue full)")},
+      {"estimate shutting down", Stage::kBackendStopped,
+       EstimateFrame(7, "tiny", kSql),
+       GoldenFrame(3, 1, 7, "server is shutting down")},
+
+      {"batch ok", Stage::kServing, BatchFrame(8, "tiny", {kSql, kSql}),
+       GoldenFrame(4, 0, 8,
+                   Le(2, 4) + GoldenItem(value) + GoldenItem(value))},
+      {"batch empty", Stage::kServing, BatchFrame(8, "tiny", {}),
+       GoldenFrame(4, 0, 8, Le(0, 4))},
+      {"batch bind error", Stage::kServing,
+       BatchFrame(8, "tiny", {kSql, kBindSql}),
+       GoldenFrame(4, 0, 8,
+                   Le(2, 4) + GoldenItem(value) + GoldenItem(bind_error))},
+      {"batch unknown sketch", Stage::kServing,
+       BatchFrame(8, "nope", {kSql}),
+       GoldenFrame(4, 0, 8, Le(1, 4) + GoldenItem(unknown_sketch))},
+      {"batch malformed", Stage::kServing,
+       BinaryFrame(FrameType::kEstimateBatch, 8, "\x01"),
+       GoldenFrame(4, 1, 8, "malformed ESTIMATE_BATCH payload")},
+      {"batch admission reject", Stage::kTenantChoked,
+       BatchFrame(8, "tiny", {kSql, kSql}), GoldenFrame(4, 2, 8, choked)},
+      {"batch queue full", Stage::kQueueFull,
+       BatchFrame(8, "tiny", {kSql, kSql}),
+       GoldenFrame(4, 0, 8,
+                   Le(2, 4) + GoldenItem("rejected: queue full") +
+                       GoldenItem("rejected: queue full"))},
+      {"batch shutting down", Stage::kBackendStopped,
+       BatchFrame(8, "tiny", {kSql, kSql}),
+       GoldenFrame(4, 0, 8,
+                   Le(2, 4) + GoldenItem("server is shutting down") +
+                       GoldenItem("server is shutting down"))},
+  };
+  for (const bool close : {false, true}) {
+    const std::string suffix = close ? " (close)" : " (keep-alive)";
+    auto post = [&](std::string_view body) {
+      return HttpRequestBytes("POST", "/estimate", body, close);
+    };
+    auto error = [](std::string_view message) {
+      return "{\"error\":\"" + std::string(message) + "\"}\n";
+    };
+    const std::vector<Golden> http = {
+        {"http 200", Stage::kServing, post(EstimateBody("tiny", kSql)),
+         GoldenHttp("200 OK", ok_body, close)},
+        {"http 400 bind error", Stage::kServing,
+         post(EstimateBody("tiny", kBindSql)),
+         GoldenHttp("400 Bad Request", error(bind_error), close)},
+        {"http 400 unknown sketch", Stage::kServing,
+         post(EstimateBody("nope", kSql)),
+         GoldenHttp("400 Bad Request", error(unknown_sketch), close)},
+        {"http 400 malformed", Stage::kServing, post(R"({"sketch": "tiny"})"),
+         GoldenHttp("400 Bad Request",
+                    error(R"(body must be {\"sketch\": ..., \"sql\": ...})"),
+                    close)},
+        {"http 404", Stage::kServing,
+         HttpRequestBytes("GET", "/nope", "", close),
+         GoldenHttp("404 Not Found", error("not found"), close)},
+        {"http 405", Stage::kServing,
+         HttpRequestBytes("GET", "/estimate", "", close),
+         GoldenHttp("405 Method Not Allowed", error("use POST"), close)},
+        {"http 429 admission reject", Stage::kTenantChoked,
+         post(EstimateBody("tiny", kSql)),
+         GoldenHttp("429 Too Many Requests", error(choked), close)},
+        {"http 429 queue full", Stage::kQueueFull,
+         post(EstimateBody("tiny", kSql)),
+         GoldenHttp("429 Too Many Requests",
+                    error("server overloaded (queue full)"), close)},
+        {"http 503 shutting down", Stage::kBackendStopped,
+         post(EstimateBody("tiny", kSql)),
+         GoldenHttp("503 Service Unavailable",
+                    error("server is shutting down"), close)},
+    };
+    for (Golden g : http) {
+      g.name += suffix;
+      g.http = true;
+      g.closes = close;
+      cases.push_back(std::move(g));
+    }
+  }
+
+  for (const Stage stage : {Stage::kServing, Stage::kTenantChoked,
+                            Stage::kQueueFull, Stage::kBackendStopped}) {
+    if (stage == Stage::kQueueFull) {
+      // A capacity-1 queue holding a request the lingering worker will not
+      // take: every wire request finds the queue full.
+      HoldBackend(/*queue_capacity=*/1);
+      int tries = 0;
+      while (!backend_->Submit("stall", kSql).accepted() && ++tries < 5000) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    if (stage == Stage::kBackendStopped) backend_->Stop();
+    auto server = StartServer();
+    if (stage == Stage::kTenantChoked) {
+      server->admission()->SetTenantLimit("default", 0.0, 0.0);
+    }
+    for (const Golden& g : cases) {
+      if (g.stage != stage) continue;
+      SCOPED_TRACE(g.name);
+      RawConn conn(server->port());
+      conn.Send(g.request);
+      const std::string reply = g.http ? conn.ReadHttp() : conn.ReadFrame();
+      EXPECT_EQ(Printable(reply), Printable(g.reply));
+      if (g.closes) {
+        EXPECT_TRUE(conn.AtEof());
+      }
+    }
+    StopAndCheckBalance(server.get());
+    server.reset();
+    SetUp();  // a fresh backend for the next stage
+  }
+}
+
+// --------------------------------- one pipeline, three request kinds
+
+enum class RequestKind { kEstimate, kBatch, kHttp };
+
+/// The bytes of one request of `kind` and the statements it carries: 64
+/// pipelined ESTIMATE frames, one 16-statement ESTIMATE_BATCH, or one
+/// keep-alive HTTP POST.
+std::pair<std::string, uint64_t> KindRequest(RequestKind kind) {
+  switch (kind) {
+    case RequestKind::kEstimate: {
+      std::string bytes = EstimateFrame(1, "tiny", kSql);
+      for (uint64_t id = 2; id <= 64; ++id) {
+        bytes += EstimateFrame(id, "tiny", kSql).substr(net::kMagicSize);
+      }
+      return {bytes, 64};
+    }
+    case RequestKind::kBatch:
+      return {BatchFrame(1, "tiny", std::vector<std::string>(16, kSql)), 16};
+    case RequestKind::kHttp:
+      return {HttpRequestBytes("POST", "/estimate",
+                               EstimateBody("tiny", kSql), false),
+              1};
+  }
+  return {"", 0};
+}
+
+bool WaitFor(const std::function<bool()>& done) {
+  for (int i = 0; i < 5000; ++i) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return done();
+}
+
+class NetRequestKindTest : public NetServerTest,
+                           public ::testing::WithParamInterface<RequestKind> {
+};
+
+// Regression: completions for a client that hung up were dropped before
+// they were counted, so the wire ledger never balanced again.
+TEST_P(NetRequestKindTest, HangUpMidFlightKeepsLedgerBalanced) {
+  HoldBackend(/*queue_capacity=*/4096);
+  auto server = StartServer();
+  const std::pair<std::string, uint64_t> kind = KindRequest(GetParam());
+  const std::string& request = kind.first;
+  const uint64_t items = kind.second;
+  {
+    RawConn conn(server->port());
+    conn.Send(request);
+    ASSERT_TRUE(WaitFor([&] {
+      return NetCounter(*server, "ds_net_requests_total") == items;
+    }));
+  }  // hang up with every statement still queued behind the held worker
+  ASSERT_TRUE(WaitFor([&] {
+    return server->registry()->GetGauge("ds_net_connections_active", "")
+               ->value() == 0;
+  }));
+  backend_->Stop();  // serves the queue; the replies find no connection
+  StopAndCheckBalance(server.get());
+  EXPECT_EQ(NetCounter(*server, "ds_net_tenant_completed_total",
+                       {{"tenant", "default"}}),
+            items);
+}
+
+// A backend that is shutting down refuses every statement the same way,
+// whichever request kind carried it: an error reply, in the completed
+// column of the tenant ledger.
+TEST_P(NetRequestKindTest, ShutdownRefusalCountsAsError) {
+  backend_->Stop();
+  auto server = StartServer();
+  const std::pair<std::string, uint64_t> kind = KindRequest(GetParam());
+  const std::string& request = kind.first;
+  const uint64_t items = kind.second;
+  RawConn conn(server->port());
+  conn.Send(request);
+  ASSERT_TRUE(WaitFor([&] {
+    return NetCounter(*server, "ds_net_responses_total",
+                      {{"status", "error"}}) +
+               NetCounter(*server, "ds_net_responses_total",
+                          {{"status", "rejected"}}) ==
+           items;
+  }));
+  StopAndCheckBalance(server.get());
+  EXPECT_EQ(NetCounter(*server, "ds_net_responses_total",
+                       {{"status", "error"}}),
+            items);
+  const obs::Labels tenant = {{"tenant", "default"}};
+  EXPECT_EQ(NetCounter(*server, "ds_net_tenant_completed_total", tenant),
+            items);
+  EXPECT_EQ(NetCounter(*server, "ds_net_tenant_shed_total", tenant), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, NetRequestKindTest,
+    ::testing::Values(RequestKind::kEstimate, RequestKind::kBatch,
+                      RequestKind::kHttp),
+    [](const ::testing::TestParamInfo<RequestKind>& info) {
+      switch (info.param) {
+        case RequestKind::kEstimate:
+          return std::string("Estimate");
+        case RequestKind::kBatch:
+          return std::string("Batch");
+        case RequestKind::kHttp:
+          return std::string("Http");
+      }
+      return std::string("Unknown");
+    });
 
 #endif  // __linux__
 

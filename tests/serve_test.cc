@@ -596,15 +596,19 @@ TEST_F(ServeTest, ShardCountClampsToWorkers) {
   EXPECT_TRUE(server.Submit("a", kQueries[0]).future.get().ok());
 }
 
-TEST_F(ServeTest, SubmitAsyncDeliversResultViaCallback) {
+TEST_F(ServeTest, SubmitManyAsyncDeliversOneResultViaCallback) {
   SketchRegistry registry(DiskOptions());
   SketchServer server(&registry);
   std::promise<Result<double>> got;
-  auto status = server.SubmitAsync(
-      "a", kQueries[0],
-      [&got](Result<double> r) { got.set_value(std::move(r)); },
+  auto statuses = server.SubmitManyAsync(
+      "a", {kQueries[0]},
+      [&got](size_t index, Result<double> r) {
+        EXPECT_EQ(index, 0u);
+        got.set_value(std::move(r));
+      },
       /*shard_hint=*/0);
-  ASSERT_EQ(status, serve::SubmitStatus::kOk);
+  ASSERT_EQ(statuses.size(), 1u);
+  ASSERT_EQ(statuses[0], serve::SubmitStatus::kOk);
   auto result = got.get_future().get();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_DOUBLE_EQ(*result, sketch_->EstimateSql(kQueries[0]).value());
@@ -612,14 +616,15 @@ TEST_F(ServeTest, SubmitAsyncDeliversResultViaCallback) {
   EXPECT_EQ(server.Metrics().completed, 1u);
 }
 
-TEST_F(ServeTest, SubmitAsyncAfterStopDoesNotInvokeCallback) {
+TEST_F(ServeTest, SubmitManyAsyncAfterStopDoesNotInvokeCallback) {
   SketchRegistry registry(DiskOptions());
   SketchServer server(&registry);
   server.Stop();
   std::atomic<bool> called{false};
-  auto status = server.SubmitAsync("a", kQueries[0],
-                                   [&called](Result<double>) { called = true; });
-  EXPECT_EQ(status, serve::SubmitStatus::kShuttingDown);
+  auto statuses = server.SubmitManyAsync(
+      "a", {kQueries[0]}, [&called](size_t, Result<double>) { called = true; });
+  ASSERT_EQ(statuses.size(), 1u);
+  EXPECT_EQ(statuses[0], serve::SubmitStatus::kShuttingDown);
   // The caller answers from the returned status; the callback stays silent.
   EXPECT_FALSE(called.load());
   EXPECT_EQ(server.Metrics().rejected_shutdown, 1u);
