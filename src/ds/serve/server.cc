@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "ds/nn/kernels.h"
 #include "ds/obs/exposition.h"
@@ -29,6 +32,22 @@ int64_t ToTraceUs(std::chrono::steady_clock::time_point tp) {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              tp.time_since_epoch())
       .count();
+}
+
+/// Per-worker-thread ServeBatch state. Every member keeps its capacity
+/// across batches; `specs` only grows, and a batch uses its first slots.
+struct BatchScratch {
+  sql::BoundQuery bound;                   // one statement's bind target
+  std::vector<workload::QuerySpec> specs;  // bound statements of the batch
+  std::vector<size_t> spec_owner;          // index into the batch per spec
+  std::vector<std::string> keys;           // cache key per request
+  std::vector<int64_t> bind_us;            // per-request bind stage
+  std::vector<Result<double>> results;     // per spec
+};
+
+BatchScratch& LocalBatchScratch() {
+  static thread_local BatchScratch scratch;
+  return scratch;
 }
 
 }  // namespace
@@ -447,13 +466,18 @@ void SketchServer::ServeBatch(std::vector<Request> batch) {
 
   // Answer repeated statements from the estimate cache, bind the rest
   // (statement-cache hits skip parse+bind); a request that fails to bind
-  // is answered immediately and excluded from the forward pass.
-  std::vector<workload::QuerySpec> specs;
-  std::vector<size_t> spec_owner;   // index into `batch` per spec
-  std::vector<std::string> keys(batch.size());
-  std::vector<int64_t> bind_us(batch.size(), 0);  // per-request bind stage
-  specs.reserve(batch.size());
-  spec_owner.reserve(batch.size());
+  // is answered immediately and excluded from the forward pass. Statements
+  // bind into the worker thread's scratch, whose containers keep their
+  // capacity, so a warm bind allocates nothing.
+  BatchScratch& s = LocalBatchScratch();
+  size_t num_specs = 0;  // s.specs[0, num_specs) feed the forward pass
+  s.spec_owner.clear();
+  if (s.keys.size() < batch.size()) s.keys.resize(batch.size());
+  s.bind_us.assign(batch.size(), 0);
+  auto next_spec = [&s, &num_specs]() -> workload::QuerySpec& {
+    if (num_specs == s.specs.size()) s.specs.emplace_back();
+    return s.specs[num_specs++];
+  };
   // All requests in a batch target the same sketch (TakeMatchingLocked
   // groups by name), so the (name, epoch) prefix is shared. The name is
   // length-prefixed because wire names may contain any byte, including the
@@ -470,9 +494,10 @@ void SketchServer::ServeBatch(std::vector<Request> batch) {
     obs::ScopedTraceContext trace_scope(tracer_, batch[i].trace_id,
                                         batch[i].root_span);
     const int64_t iter_start_us = obs::TraceRecorder::NowUs();
-    keys[i] = key_prefix + batch[i].sql;
+    std::string& key = s.keys[i];
+    key.assign(key_prefix).append(batch[i].sql);
     if (options_.result_cache_capacity > 0) {
-      if (auto cached = ResultCacheGet(keys[i]); cached.has_value()) {
+      if (auto cached = ResultCacheGet(key); cached.has_value()) {
         metrics_.result_cache_hits.Add();
         metrics_.completed.Add();
         { obs::Span span("result_cache_hit"); }
@@ -485,91 +510,86 @@ void SketchServer::ServeBatch(std::vector<Request> batch) {
       metrics_.result_cache_misses.Add();
     }
     if (options_.stmt_cache_capacity > 0) {
-      if (auto cached = StmtCacheGet(keys[i]); cached != nullptr) {
+      if (auto cached = StmtCacheGet(key); cached != nullptr) {
         metrics_.stmt_cache_hits.Add();
         { obs::Span span("stmt_cache_hit"); }
-        specs.push_back(*cached);
-        spec_owner.push_back(i);
-        bind_us[i] = obs::TraceRecorder::NowUs() - iter_start_us;
+        next_spec() = *cached;
+        s.spec_owner.push_back(i);
+        s.bind_us[i] = obs::TraceRecorder::NowUs() - iter_start_us;
         continue;
       }
       metrics_.stmt_cache_misses.Add();
     }
-    auto bound = (*sketch)->BindSql(batch[i].sql);
+    Status bound = (*sketch)->BindSql(batch[i].sql, &s.bound);
+    if (bound.ok() && s.bound.placeholder.has_value()) {
+      bound = Status::InvalidArgument(
+          "query contains an uninstantiated '?' placeholder");
+    }
     if (!bound.ok()) {
       metrics_.bind_errors.Add();
       metrics_.failed.Add();
-      ResolveRequest(&batch[i], bound.status());
+      ResolveRequest(&batch[i], std::move(bound));
       FinishTrace(batch[i]);
       RecordFlight(batch[i], 0.0, 1, queue_us_of(batch[i]),
                    obs::TraceRecorder::NowUs() - iter_start_us, 0);
       continue;
     }
-    if (bound->placeholder.has_value()) {
-      metrics_.bind_errors.Add();
-      metrics_.failed.Add();
-      ResolveRequest(&batch[i],
-                     Status::InvalidArgument(
-                         "query contains an uninstantiated '?' placeholder"));
-      FinishTrace(batch[i]);
-      RecordFlight(batch[i], 0.0, 1, queue_us_of(batch[i]),
-                   obs::TraceRecorder::NowUs() - iter_start_us, 0);
-      continue;
-    }
-    StmtCachePut(keys[i],
-                 std::make_shared<const workload::QuerySpec>(bound->spec));
-    specs.push_back(std::move(bound->spec));
-    spec_owner.push_back(i);
-    bind_us[i] = obs::TraceRecorder::NowUs() - iter_start_us;
+    StmtCachePut(key, std::make_shared<const workload::QuerySpec>(s.bound.spec));
+    std::swap(next_spec(), s.bound.spec);
+    s.spec_owner.push_back(i);
+    s.bind_us[i] = obs::TraceRecorder::NowUs() - iter_start_us;
   }
 
-  if (!specs.empty()) {
+  if (num_specs > 0) {
     // The padded forward pass serves the whole batch at once; its span
     // (with the featurize/forward children recorded inside EstimateMany)
     // is attached to the first sampled request in the batch.
     const Request* traced = nullptr;
-    for (size_t s : spec_owner) {
-      if (batch[s].trace_id != 0) {
-        traced = &batch[s];
+    for (size_t owner : s.spec_owner) {
+      if (batch[owner].trace_id != 0) {
+        traced = &batch[owner];
         break;
       }
     }
-    // Reused per worker thread: EstimateManyInto keeps all featurization
-    // and inference state in warm thread-local scratch, so steady-state
-    // batches allocate nothing. The AllocCount delta around the call is
-    // exported as a gauge to watch exactly that.
-    static thread_local std::vector<Result<double>> results;
+    // EstimateManyInto keeps all featurization and inference state in warm
+    // thread-local scratch, so steady-state batches allocate nothing. The
+    // AllocCount delta around the call is exported as a gauge to watch
+    // exactly that.
+    std::vector<Result<double>>& results = s.results;
     const uint64_t allocs_before = util::AllocCount();
     const int64_t fwd_start_us = obs::TraceRecorder::NowUs();
     {
       obs::ScopedTraceContext trace_scope(
           tracer_, traced != nullptr ? traced->trace_id : 0,
           traced != nullptr ? traced->root_span : 0);
-      obs::Span infer_span("infer", specs.size());
-      (*sketch)->EstimateManyInto(specs, &results);
+      obs::Span infer_span("infer", num_specs);
+      (*sketch)->EstimateManyInto(
+          std::span<const workload::QuerySpec>(s.specs.data(), num_specs),
+          &results);
     }
     const int64_t fwd_us = obs::TraceRecorder::NowUs() - fwd_start_us;
     // The fulfillment loop below indexes spec_owner with the result index,
     // so the forward pass must answer exactly the specs it was given.
-    DS_ENSURE(results.size() == specs.size(),
+    DS_ENSURE(results.size() == num_specs,
               "EstimateManyInto returned %zu results for %zu specs",
-              results.size(), specs.size());
+              results.size(), num_specs);
     metrics_.batch_allocations.Set(
         static_cast<double>(util::AllocCount() - allocs_before));
-    for (size_t s = 0; s < results.size(); ++s) {
-      if (results[s].ok()) {
+    for (size_t r = 0; r < results.size(); ++r) {
+      const size_t owner = s.spec_owner[r];
+      if (results[r].ok()) {
         metrics_.completed.Add();
-        ResultCachePut(keys[spec_owner[s]], *results[s]);
+        ResultCachePut(s.keys[owner], *results[r]);
       } else {
         metrics_.failed.Add();
       }
-      Request& req = batch[spec_owner[s]];
-      const double estimate = results[s].ok() ? *results[s] : 0.0;
-      const uint8_t code = results[s].ok() ? 0 : 1;
-      ResolveRequest(&req, std::move(results[s]));
+      Request& req = batch[owner];
+      const double estimate = results[r].ok() ? *results[r] : 0.0;
+      const uint8_t code = results[r].ok() ? 0 : 1;
+      ResolveRequest(&req, std::move(results[r]));
       FinishTrace(req);
-      RecordFlight(req, estimate, code, queue_us_of(req),
-                   bind_us[spec_owner[s]], fwd_us);
+      RecordFlight(req, estimate, code, queue_us_of(req), s.bind_us[owner],
+                   fwd_us);
     }
   }
   metrics_.infer_us.Record(MicrosSince(infer_start));

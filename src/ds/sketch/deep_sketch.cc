@@ -156,21 +156,30 @@ Status DeepSketch::BuildSampleCatalog() {
   return Status::OK();
 }
 
-Result<sql::BoundQuery> DeepSketch::BindSql(const std::string& sql) const {
-  // The obs::Span pairs are no-ops (a thread-local read and a branch)
-  // unless the caller — e.g. a serving worker on a sampled query —
-  // installed a trace context.
-  sql::ParsedQuery parsed;
+Result<sql::BoundQuery> DeepSketch::BindSql(std::string_view sql) const {
+  sql::BoundQuery bound;
+  DS_RETURN_NOT_OK(BindSql(sql, &bound));
+  return bound;
+}
+
+Status DeepSketch::BindSql(std::string_view sql, sql::BoundQuery* out) const {
+  if (obs::CurrentTraceContext() == nullptr) {
+    return sql::Bind(*sample_catalog_, sql, out);
+  }
+  // A sampled statement (the caller installed a trace context) is read
+  // twice so its trace keeps the "parse" and "bind" stages apart: the
+  // syntax-only pass, then the binding pass.
   {
     obs::Span span("parse");
-    DS_ASSIGN_OR_RETURN(parsed, sql::Parse(sql));
+    DS_RETURN_NOT_OK(sql::Parse(sql).status());
   }
   obs::Span span("bind");
-  return sql::Bind(*sample_catalog_, parsed);
+  return sql::Bind(*sample_catalog_, sql, out);
 }
 
 Result<double> DeepSketch::EstimateSql(const std::string& sql) const {
-  DS_ASSIGN_OR_RETURN(sql::BoundQuery bound, BindSql(sql));
+  static thread_local sql::BoundQuery bound;  // warm binds allocate nothing
+  DS_RETURN_NOT_OK(BindSql(sql, &bound));
   if (bound.placeholder.has_value()) {
     return Status::InvalidArgument(
         "query contains a '?' placeholder; use the template API");
@@ -240,7 +249,7 @@ EstimateScratch& LocalEstimateScratch() {
 
 }  // namespace
 
-void DeepSketch::EstimateManyInto(const std::vector<workload::QuerySpec>& specs,
+void DeepSketch::EstimateManyInto(std::span<const workload::QuerySpec> specs,
                                   std::vector<Result<double>>* out) const {
   EstimateScratch& s = LocalEstimateScratch();
   out->assign(specs.size(), Result<double>(1.0));

@@ -16,7 +16,9 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ds/est/estimator.h"
@@ -125,12 +127,17 @@ class DeepSketch final : public est::CardinalityEstimator {
   /// sparse kernels) and every intermediate lives in thread-local scratch
   /// that keeps its capacity, so steady-state batches perform zero heap
   /// allocations. Results are identical to EstimateMany.
-  void EstimateManyInto(const std::vector<workload::QuerySpec>& specs,
+  void EstimateManyInto(std::span<const workload::QuerySpec> specs,
                         std::vector<Result<double>>* out) const;
 
   /// Parses and binds SQL against the sketch's embedded schema (the template
   /// engine uses this to extract placeholders).
-  Result<sql::BoundQuery> BindSql(const std::string& sql) const;
+  Result<sql::BoundQuery> BindSql(std::string_view sql) const;
+
+  /// BindSql into caller-owned `out`, reused across calls — the serving hot
+  /// path: a warm bind of a well-formed statement allocates nothing (see
+  /// sql::Bind).
+  Status BindSql(std::string_view sql, sql::BoundQuery* out) const;
 
   // --- Introspection ---------------------------------------------------------
 

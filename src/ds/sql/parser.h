@@ -1,4 +1,4 @@
-// Recursive-descent parser for the supported SQL fragment:
+// The SQL front end's grammar and its syntax-only entry point:
 //
 //   SELECT COUNT(*) FROM <table> [AS] <alias>, ...
 //   [WHERE <cond> AND <cond> AND ...] [;]
@@ -13,51 +13,32 @@
 // This is exactly the class of queries the paper's demo generates and
 // estimates: conjunctive COUNT(*) over PK/FK joins, no disjunction, no
 // strings patterns, no grouping (templates subsume the demo's grouping UI).
+//
+// One recursive-descent pass (parser.cc) reads the text and, given a
+// catalog, binds it as it goes (binder.h). Parse runs that pass without a
+// catalog, so it reports exactly the lexical and syntax errors binding
+// would.
 
 #ifndef DS_SQL_PARSER_H_
 #define DS_SQL_PARSER_H_
 
 #include <string>
-#include <vector>
+#include <string_view>
 
-#include "ds/storage/value.h"
 #include "ds/util/status.h"
-#include "ds/workload/query_spec.h"
 
 namespace ds::sql {
 
-struct TableRef {
-  std::string table;
-  std::string alias;  // equals `table` when no alias was given
-};
-
-struct ParsedOperand {
-  enum class Kind : uint8_t { kColumn, kLiteral, kPlaceholder };
-  Kind kind = Kind::kLiteral;
-  // kColumn:
-  std::string qualifier;  // alias or table name; empty if unqualified
-  std::string column;
-  // kLiteral:
-  storage::CellValue literal;
-};
-
-struct ParsedCondition {
-  ParsedOperand lhs;
-  workload::CompareOp op = workload::CompareOp::kEq;
-  ParsedOperand rhs;
-  /// BETWEEN condition: rhs is the lower bound, rhs_high the upper; `op` is
-  /// unused. The binder desugars it into two inclusive range predicates.
-  bool is_between = false;
-  ParsedOperand rhs_high;
-};
-
+/// A statement that passed the syntax check. It owns its text, so it may
+/// outlive the string it was parsed from; Bind reads the text again
+/// against a catalog.
 struct ParsedQuery {
-  std::vector<TableRef> tables;
-  std::vector<ParsedCondition> conditions;
+  std::string sql;
 };
 
-/// Parses `sql`; returns ParseError with offset context on malformed input.
-Result<ParsedQuery> Parse(const std::string& sql);
+/// Checks the syntax of `sql`; returns ParseError with offset context on
+/// malformed input, including integer literals outside int64.
+Result<ParsedQuery> Parse(std::string_view sql);
 
 }  // namespace ds::sql
 

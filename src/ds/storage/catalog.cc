@@ -11,10 +11,10 @@ Result<Table*> Catalog::CreateTable(const std::string& name) {
   return tables_.back().get();
 }
 
-Result<const Table*> Catalog::GetTable(const std::string& name) const {
+Result<const Table*> Catalog::GetTable(std::string_view name) const {
   auto it = index_.find(name);
   if (it == index_.end()) {
-    return Status::NotFound("no table '" + name + "'");
+    return Status::NotFound("no table '" + std::string(name) + "'");
   }
   return static_cast<const Table*>(tables_[it->second].get());
 }

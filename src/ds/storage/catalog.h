@@ -10,11 +10,13 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "ds/storage/table.h"
 #include "ds/util/status.h"
+#include "ds/util/string_util.h"
 
 namespace ds::storage {
 
@@ -31,7 +33,7 @@ class Catalog {
   /// Creates an empty table; fails on duplicate names.
   Result<Table*> CreateTable(const std::string& name);
 
-  Result<const Table*> GetTable(const std::string& name) const;
+  Result<const Table*> GetTable(std::string_view name) const;
   Result<Table*> GetMutableTable(const std::string& name);
   bool HasTable(const std::string& name) const {
     return index_.count(name) > 0;
@@ -72,7 +74,8 @@ class Catalog {
 
  private:
   std::vector<std::unique_ptr<Table>> tables_;
-  std::unordered_map<std::string, size_t> index_;
+  std::unordered_map<std::string, size_t, util::StringHash, std::equal_to<>>
+      index_;
   std::unordered_map<std::string, std::string> primary_keys_;
   std::vector<ForeignKey> fks_;
 };

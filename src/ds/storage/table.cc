@@ -23,11 +23,11 @@ Result<Column*> Table::AddCategoricalColumnSharing(
   return columns_.back().get();
 }
 
-Result<const Column*> Table::GetColumn(const std::string& name) const {
+Result<const Column*> Table::GetColumn(std::string_view name) const {
   auto it = index_.find(name);
   if (it == index_.end()) {
-    return Status::NotFound("no column '" + name + "' in table '" + name_ +
-                            "'");
+    return Status::NotFound("no column '" + std::string(name) +
+                            "' in table '" + name_ + "'");
   }
   return static_cast<const Column*>(columns_[it->second].get());
 }

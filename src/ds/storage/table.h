@@ -5,11 +5,13 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "ds/storage/column.h"
 #include "ds/util/status.h"
+#include "ds/util/string_util.h"
 
 namespace ds::storage {
 
@@ -27,11 +29,11 @@ class Table {
       std::string name, std::shared_ptr<Dictionary> dict);
 
   /// Column lookup by name; NotFound if absent.
-  Result<const Column*> GetColumn(const std::string& name) const;
+  Result<const Column*> GetColumn(std::string_view name) const;
   Result<Column*> GetMutableColumn(const std::string& name);
 
-  bool HasColumn(const std::string& name) const {
-    return index_.count(name) > 0;
+  bool HasColumn(std::string_view name) const {
+    return index_.find(name) != index_.end();
   }
 
   size_t num_columns() const { return columns_.size(); }
@@ -55,7 +57,8 @@ class Table {
  private:
   std::string name_;
   std::vector<std::unique_ptr<Column>> columns_;
-  std::unordered_map<std::string, size_t> index_;
+  std::unordered_map<std::string, size_t, util::StringHash, std::equal_to<>>
+      index_;
 };
 
 /// Copies the given rows of `table` into a new standalone table of the same

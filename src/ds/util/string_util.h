@@ -3,6 +3,7 @@
 #ifndef DS_UTIL_STRING_UTIL_H_
 #define DS_UTIL_STRING_UTIL_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +30,15 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
 /// Formats a byte count as "512 B" / "3.2 KiB" / "4.7 MiB".
 std::string HumanBytes(size_t bytes);
+
+/// Hash for string-keyed unordered maps that are also looked up by
+/// std::string_view without building a std::string (with std::equal_to<>).
+struct StringHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 }  // namespace ds::util
 

@@ -35,6 +35,8 @@ struct ColumnPredicate {
   storage::CellValue literal;
 
   std::string ToString() const;  // "t.production_year>2000"
+
+  bool operator==(const ColumnPredicate&) const = default;
 };
 
 /// Equi-join `left_table.left_column = right_table.right_column`.
@@ -48,6 +50,9 @@ struct JoinEdge {
 
   /// True if the edges connect the same column pair (in either direction).
   bool SameEdge(const JoinEdge& other) const;
+
+  /// Exact equality, operand order included.
+  bool operator==(const JoinEdge&) const = default;
 };
 
 /// A full COUNT(*) query.
@@ -64,6 +69,8 @@ struct QuerySpec {
   std::string ToCompactString() const;
 
   bool HasTable(const std::string& name) const;
+
+  bool operator==(const QuerySpec&) const = default;
 
   /// Validates the spec against a catalog: tables exist, join/predicate
   /// columns exist, join columns join declared tables, and the join graph
