@@ -1,5 +1,4 @@
-// The finding record shared by ds_lint and ds_analyze, plus the stable
-// fingerprint used by baseline files (see baseline.h).
+// The finding record ds_lint reports (stderr and SARIF).
 
 #ifndef DS_ANALYSIS_FINDING_H_
 #define DS_ANALYSIS_FINDING_H_
@@ -15,13 +14,6 @@ struct Finding {
   std::string rule;
   std::string message;
 };
-
-/// Line-number-independent identity for baseline matching: inserting code
-/// above a grandfathered finding must not resurface it. Two findings with
-/// the same rule, file, and message are the same finding.
-inline std::string Fingerprint(const Finding& f) {
-  return f.rule + "\t" + f.file + "\t" + f.message;
-}
 
 }  // namespace ds::analysis
 

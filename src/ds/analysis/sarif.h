@@ -1,4 +1,4 @@
-// SARIF 2.1.0 emission for the repo's analyzers, so findings land in code
+// SARIF 2.1.0 emission for ds_lint, so findings land in code
 // scanning UIs (GitHub uploads, VS Code SARIF viewers) instead of only on
 // stderr. One run, one tool, results ordered as given.
 
@@ -12,10 +12,9 @@
 
 namespace ds::analysis {
 
-/// Serializes `findings` as a SARIF 2.1.0 log. `tool_name` becomes
-/// tool.driver.name ("ds_lint", "ds_analyze"); each distinct rule id gets a
-/// driver.rules entry. Every result is level "error" — both tools treat any
-/// finding as failing.
+/// Serializes `findings` as a SARIF 2.1.0 log under `tool_name`; each
+/// distinct rule id gets a rules entry. Every result is level "error" —
+/// ds_lint treats any finding as failing.
 std::string ToSarif(const std::string& tool_name,
                     const std::string& tool_version,
                     const std::vector<Finding>& findings);

@@ -1,9 +1,9 @@
-// Lock-free parallel file scanning for the analyzers.
+// Lock-free parallel file scanning for ds_lint.
 //
 // Work is pre-partitioned round-robin across `jobs` threads and every
 // thread writes only to indices it owns, so there is no shared mutable
-// state and no locking — the analyzers stay out of the very business
-// (mutex discipline) they exist to check. Results land in caller-owned
+// state and no locking — the linter stays out of the very business
+// (mutex discipline) it exists to check. Results land in caller-owned
 // per-index slots; merge order is the deterministic input order, so
 // parallel and serial runs produce byte-identical reports.
 

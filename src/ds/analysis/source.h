@@ -1,10 +1,9 @@
-// Source-text plumbing shared by the repo's analyzers (tools/ds_lint,
-// tools/ds_analyze). Extracted from ds_lint's scanner so both tools strip,
-// split, and walk files identically.
+// Source-text plumbing for tools/ds_lint: comment/string stripping, line
+// splitting, and the file walk.
 //
 // Everything here is pure text: no dependency on the deepsketch library, so
-// the analyzers build (and can lint/analyze the tree) even while the
-// library itself is broken.
+// ds_lint builds (and can lint the tree) even while the library itself is
+// broken.
 
 #ifndef DS_ANALYSIS_SOURCE_H_
 #define DS_ANALYSIS_SOURCE_H_
@@ -37,7 +36,7 @@ size_t LineOfOffset(const std::string& text, size_t offset);
 
 bool EndsWith(const std::string& s, const char* suffix);
 
-/// One file handed to an analyzer pass.
+/// One file handed to the lint pass.
 struct SourceFile {
   std::string path;
   std::string content;

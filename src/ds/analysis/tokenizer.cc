@@ -78,11 +78,6 @@ std::vector<Token> Tokenize(const std::string& stripped) {
   return tokens;
 }
 
-bool TokenIs(const std::vector<Token>& tokens, size_t i, const char* text) {
-  return i < tokens.size() && tokens[i].kind == TokenKind::kIdentifier &&
-         tokens[i].text == text;
-}
-
 bool PunctIs(const std::vector<Token>& tokens, size_t i, const char* text) {
   return i < tokens.size() && tokens[i].kind == TokenKind::kPunct &&
          tokens[i].text == text;

@@ -1,11 +1,11 @@
-// A flat C++ token stream for the analyzers.
+// A flat C++ token stream for ds_lint.
 //
 // Not a real lexer — it runs over StripCode'd text (comments blanked,
 // string/char literals reduced to their quote marks) and classifies what is
 // left into identifiers, numbers, string stubs, and punctuation. That is
-// exactly enough for the pattern-level analyses the repo's tools do
-// (declaration harvesting, acquisition-site scanning, scope tracking)
-// while staying a few hundred lines instead of a compiler frontend.
+// exactly enough for ds_lint's pattern-level harvest (which functions
+// return Status/Result) while staying a page of code instead of a compiler
+// frontend.
 
 #ifndef DS_ANALYSIS_TOKENIZER_H_
 #define DS_ANALYSIS_TOKENIZER_H_
@@ -32,9 +32,6 @@ struct Token {
 /// Tokenizes text already passed through StripCode(kCommentsAndStrings).
 /// Preprocessor directives are kept as ordinary tokens (`#`, `include`, ...).
 std::vector<Token> Tokenize(const std::string& stripped);
-
-/// True when tokens[i] is an identifier with exactly this text.
-bool TokenIs(const std::vector<Token>& tokens, size_t i, const char* text);
 
 /// True when tokens[i] is punctuation with exactly this text.
 bool PunctIs(const std::vector<Token>& tokens, size_t i, const char* text);

@@ -1,6 +1,5 @@
-// The lock-order manifest: every ds::util::Mutex that can be held
-// concurrently with another is named here, with a numeric *rank* that fixes
-// its position in the global acquisition order.
+// The lock-order manifest: every ds::util::Mutex is named here, with a
+// numeric *rank* that fixes its position in the global acquisition order.
 //
 // Rule: a thread may only acquire a mutex whose rank is STRICTLY GREATER
 // than the rank of every mutex it already holds. Outer locks (taken first,
@@ -9,25 +8,26 @@
 // rank can never be held together — which is why per-shard locks share one
 // rank: "shard mutexes are never held two at a time" becomes checkable.
 //
-// This table is the single machine-readable source of truth, consumed by
-// three enforcement layers (see DESIGN.md §10):
+// This table is the single machine-readable source of truth, enforced at
+// two points (see DESIGN.md §10):
 //
-//   - compile time:  ds::util::Mutex construction takes a LockRank, so an
-//                    unlisted concurrent mutex has nowhere to hide;
+//   - compile time:  ds::util::Mutex's only constructor takes a LockRank,
+//                    so no mutex is outside this table, and LockRank is an
+//                    enum class, so a rank symbol not in it does not
+//                    compile;
 //   - runtime:       ds/util/lockdep.h checks every acquisition against the
 //                    held-lock stack and the observed acquired-after graph
-//                    (armed in tests, TSan builds, and ds_stress), and can
-//                    dump the observed graph as lock_order.json;
-//   - static:        tools/ds_analyze.cc parses THIS TABLE (the X-macro
-//                    below — keep its layout: one X(...) per line) and
-//                    cross-checks it against the harvested Mutex
-//                    declarations and MutexLock nesting in the sources.
+//                    (armed in tests, TSan builds, and ds_stress).
+//
+// tools/ds_lint's lock-rank-stale rule keeps the table from outliving the
+// code: a row whose symbol no swept file writes as LockRank::<symbol> is a
+// finding. It reads the rows from the X-macro below, so keep each row's
+// `X(symbol,` on one line.
 //
 // Adding a lock: pick a rank consistent with every code path that can hold
 // it together with an existing lock, add an X(...) row, and construct the
-// Mutex with the new LockRank. ds_analyze fails if the declaration and the
-// table disagree; lockdep aborts (with both acquisition stacks) if reality
-// disagrees with the declared order.
+// Mutex with the new LockRank. lockdep aborts (with both acquisition
+// stacks) if reality disagrees with the declared order.
 
 #ifndef DS_UTIL_LOCK_ORDER_H_
 #define DS_UTIL_LOCK_ORDER_H_
@@ -37,8 +37,8 @@
 namespace ds::util {
 
 // X(enum_id, rank, class_name, holder) — ranks strictly increase down the
-// table. class_name is the stable identity used in lockdep reports and
-// lock_order.json; holder documents the declaring member.
+// table. class_name is the stable identity used in lockdep reports; holder
+// documents the declaring member.
 //
 // Rationale for the ordering (the edges each rank must sit above/below):
 //   net.server.stop      held across loop shutdown -> event_loop.tasks
@@ -48,7 +48,7 @@ namespace ds::util {
 //                        takes registry.shard and the cache leaf locks
 //   net.server.tenants   held across instrument creation -> obs.registry
 //   obs.drift.set        held across per-monitor Report -> obs.drift.monitor
-//   test.outer/inner/leaf  reserved for tests (lockdep_test, examples)
+//   test.outer/inner/leaf  reserved for lockdep_test
 #define DS_LOCK_RANK_TABLE(X)                                                  \
   X(kNetServerStop, 100, "net.server.stop", "net::NetServer::stop_mu_")        \
   X(kServeServerStop, 150, "serve.server.stop",                                \
@@ -89,11 +89,11 @@ enum class LockRank : int {
 };
 
 /// One row of the manifest. Also serves as the runtime "lock class"
-/// descriptor: every ranked Mutex holds a pointer to its row.
+/// descriptor: every Mutex holds a pointer to its row.
 struct LockRankEntry {
   LockRank id;
   int rank;
-  const char* name;    // stable identity in reports / lock_order.json
+  const char* name;    // stable identity in lockdep reports
   const char* holder;  // the declaring member, for humans
 };
 

@@ -143,13 +143,6 @@ bool DefaultEnabled() {
   return enabled;
 }
 
-void AppendJsonEscaped(std::string* out, const char* text) {
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (*p == '"' || *p == '\\') out->push_back('\\');
-    out->push_back(*p);
-  }
-}
-
 }  // namespace
 
 namespace internal {
@@ -245,51 +238,10 @@ uint64_t ViolationCount() {
   return g_violations.load(std::memory_order_relaxed);
 }
 
-std::string ObservedGraphJson() {
-  std::string out;
-  out.reserve(2048);
-  out += "{\"classes\":[";
-  for (size_t i = 0; i < kNumLockRanks; ++i) {
-    if (i > 0) out += ",";
-    out += "{\"name\":\"";
-    AppendJsonEscaped(&out, kLockRankTable[i].name);
-    out += "\",\"rank\":";
-    out += std::to_string(kLockRankTable[i].rank);
-    out += ",\"holder\":\"";
-    AppendJsonEscaped(&out, kLockRankTable[i].holder);
-    out += "\"}";
-  }
-  out += "],\"edges\":[";
-  bool first = true;
-  for (size_t from = 0; from < kMaxClasses; ++from) {
-    for (size_t to = 0; to < kMaxClasses; ++to) {
-      const uint64_t count =
-          g_edge_count[from][to].load(std::memory_order_relaxed);
-      if (count == 0) continue;
-      if (!first) out += ",";
-      first = false;
-      out += "{\"from\":\"";
-      AppendJsonEscaped(&out, kLockRankTable[from].name);
-      out += "\",\"to\":\"";
-      AppendJsonEscaped(&out, kLockRankTable[to].name);
-      out += "\",\"count\":";
-      out += std::to_string(count);
-      out += "}";
-    }
-  }
-  out += "],\"violations\":";
-  out += std::to_string(ViolationCount());
-  out += "}";
-  return out;
-}
-
-bool WriteObservedGraph(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = ObservedGraphJson();
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool ok = std::fclose(f) == 0 && written == json.size();
-  return ok;
+uint64_t EdgeCount(LockRank from, LockRank to) {
+  return g_edge_count[LockRankIndex(LockRankInfo(from))]
+                     [LockRankIndex(LockRankInfo(to))]
+                         .load(std::memory_order_relaxed);
 }
 
 void ResetForTest() {

@@ -2,8 +2,9 @@
 // ds/util/lock_order.h (the Linux-kernel-lockdep / absl-deadlock-detector
 // idea, sized for this codebase's fixed, named lock universe).
 //
-// Every ranked ds::util::Mutex acquisition and release calls the inline
-// hooks below. When armed, the checker maintains
+// Every ds::util::Mutex acquisition and release calls the inline hooks
+// below (every Mutex is ranked: its only constructor takes a LockRank).
+// When armed, the checker maintains
 //
 //   - a per-thread stack of held locks (each with the stack trace captured
 //     at its acquisition), and
@@ -28,21 +29,14 @@
 // Arming: default-on in debug (!NDEBUG) and ThreadSanitizer builds;
 // overridable either way with DS_LOCKDEP=0|1 in the environment (the test
 // suite sets DS_LOCKDEP=1 for every ctest, and ds_stress arms it
-// explicitly). Unranked mutexes (default-constructed) and disarmed builds
-// cost one relaxed atomic load and a predictable branch per lock
-// operation.
-//
-// The observed graph can be dumped as lock_order.json
-// (WriteObservedGraph); tools/ds_analyze.cc diffs that observed order
-// against the declared manifest, closing the loop between what the code
-// says and what it does.
+// explicitly). A disarmed checker costs one relaxed atomic load and a
+// predictable branch per lock operation.
 
 #ifndef DS_UTIL_LOCKDEP_H_
 #define DS_UTIL_LOCKDEP_H_
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 #include "ds/util/lock_order.h"
 
@@ -72,27 +66,20 @@ void SetAbortOnViolation(bool abort_on_violation);
 /// in abort mode the first violation ends the process).
 uint64_t ViolationCount();
 
-/// The observed acquired-after graph as lock_order.json text:
-/// {"classes":[{"name","rank","holder"}...],
-///  "edges":[{"from","to","count"}...], "violations":N}.
-std::string ObservedGraphJson();
-
-/// Writes ObservedGraphJson() to `path`. Returns false on I/O failure.
-bool WriteObservedGraph(const std::string& path);
+/// How many acquisitions of `to` happened while the acquiring thread held
+/// `from` (the observed acquired-after edge from -> to; 0 = never seen).
+uint64_t EdgeCount(LockRank from, LockRank to);
 
 /// Test hook: clears the global edge graph and the violation counter (the
-/// calling thread must hold no ranked locks).
+/// calling thread must hold no locks).
 void ResetForTest();
 
-/// Hot-path hooks, called by Mutex/MutexLock (ds/util/thread_annotations.h).
-/// `cls` is null for unranked mutexes. OnAcquire runs BEFORE the underlying
-/// lock blocks, so an inversion that would deadlock is reported instead of
+/// Hot-path hooks, called by Mutex/MutexLock (ds/util/thread_annotations.h)
+/// with the mutex's manifest row. OnAcquire runs BEFORE the underlying lock
+/// blocks, so an inversion that would deadlock is reported instead of
 /// hanging.
 inline void OnAcquire(const LockRankEntry* cls) {
-  if (cls == nullptr ||
-      !internal::g_enabled.load(std::memory_order_relaxed)) {
-    return;
-  }
+  if (!internal::g_enabled.load(std::memory_order_relaxed)) return;
   internal::AcquireSlow(cls, /*try_lock=*/false);
 }
 
@@ -100,18 +87,12 @@ inline void OnAcquire(const LockRankEntry* cls) {
 /// but never aborts — a trylock cannot deadlock, but the edge it proves is
 /// still evidence for other threads' blocking acquisitions.
 inline void OnTryAcquire(const LockRankEntry* cls) {
-  if (cls == nullptr ||
-      !internal::g_enabled.load(std::memory_order_relaxed)) {
-    return;
-  }
+  if (!internal::g_enabled.load(std::memory_order_relaxed)) return;
   internal::AcquireSlow(cls, /*try_lock=*/true);
 }
 
 inline void OnRelease(const LockRankEntry* cls) {
-  if (cls == nullptr ||
-      !internal::g_enabled.load(std::memory_order_relaxed)) {
-    return;
-  }
+  if (!internal::g_enabled.load(std::memory_order_relaxed)) return;
   internal::ReleaseSlow(cls);
 }
 

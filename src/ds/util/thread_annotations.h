@@ -10,10 +10,11 @@
 // Project rule (enforced by tools/ds_lint.cc): library code under src/ never
 // uses std::mutex / std::condition_variable / std::lock_guard directly —
 // always ds::util::Mutex, MutexLock, and CondVar, so every lock site is
-// visible to the analysis.
+// visible to the analysis. A Mutex cannot be constructed without its rank
+// in the lock-order manifest (ds/util/lock_order.h).
 //
 //   class Cache {
-//     mutable ds::util::Mutex mu_;
+//     mutable ds::util::Mutex mu_{ds::util::LockRank::kObsRegistry};
 //     std::map<...> entries_ DS_GUARDED_BY(mu_);
 //     void EvictLocked() DS_REQUIRES(mu_);
 //   };
@@ -88,15 +89,12 @@ class MutexLock;
 /// std::mutex annotated as a clang capability. Prefer MutexLock over calling
 /// Lock/Unlock manually.
 ///
-/// A mutex that can ever be held together with another one must be ranked:
-/// construct it with its LockRank from the manifest in
-/// ds/util/lock_order.h. Ranked mutexes are checked by the runtime lockdep
-/// (ds/util/lockdep.h) against the declared global acquisition order and by
-/// the ds_analyze static pass; default-constructed (unranked) mutexes are
-/// invisible to both — reserve them for throwaway locals in tests.
+/// Every mutex is ranked: the only constructor takes its LockRank from the
+/// manifest in ds/util/lock_order.h, so no mutex can sit outside the
+/// declared global acquisition order that the runtime lockdep
+/// (ds/util/lockdep.h) checks every acquisition against.
 class DS_CAPABILITY("mutex") Mutex {
  public:
-  Mutex() = default;
   explicit Mutex(LockRank rank) : class_(LockRankInfo(rank)) {}
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
@@ -115,14 +113,11 @@ class DS_CAPABILITY("mutex") Mutex {
     return true;
   }
 
-  /// The manifest row this mutex was ranked with; null when unranked.
-  const LockRankEntry* lock_class() const { return class_; }
-
  private:
   friend class CondVar;
   friend class MutexLock;
   std::mutex mu_;
-  const LockRankEntry* class_ = nullptr;
+  const LockRankEntry* const class_;  // this mutex's manifest row
 };
 
 /// RAII lock on a ds::util::Mutex (the std::unique_lock analogue, visible to

@@ -1,16 +1,13 @@
 // Runtime lockdep (ds/util/lockdep.h) against the manifest in
-// ds/util/lock_order.h: the kTest* ranks exist for exactly these tests.
-// Deliberate inversions carry NOLINT(ds-analyze) so the static pass
-// (tools/ds_analyze.cc) does not report the seeded violations it is the
-// runtime checker's job to catch here.
+// ds/util/lock_order.h: the kTest* ranks exist for exactly these tests, and
+// this file is in ds_lint's sweep so lock-rank-stale sees them used.
 
 #include "ds/util/lockdep.h"
 
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "ds/util/lock_order.h"
 #include "ds/util/thread_annotations.h"
@@ -18,6 +15,20 @@
 
 namespace ds::util {
 namespace {
+
+// Every mutex is ranked: there is no way to build one outside the manifest.
+static_assert(!std::is_default_constructible_v<util::Mutex>);
+
+/// Sum of every observed acquired-after edge count (0 = empty graph).
+uint64_t TotalEdgeCount() {
+  uint64_t total = 0;
+  for (const LockRankEntry& from : kLockRankTable) {
+    for (const LockRankEntry& to : kLockRankTable) {
+      total += lockdep::EdgeCount(from.id, to.id);
+    }
+  }
+  return total;
+}
 
 class LockdepTest : public ::testing::Test {
  protected:
@@ -63,14 +74,10 @@ TEST_F(LockdepTest, RankedNestingInOrderIsClean) {
     util::MutexLock leaf_lock(order_leaf);
   }
   EXPECT_EQ(lockdep::ViolationCount(), 0u);
-  const std::string json = lockdep::ObservedGraphJson();
-  EXPECT_NE(json.find("\"from\":\"test.outer\",\"to\":\"test.inner\""),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"from\":\"test.inner\",\"to\":\"test.leaf\""),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"violations\":0"), std::string::npos) << json;
+  EXPECT_GT(lockdep::EdgeCount(LockRank::kTestOuter, LockRank::kTestInner),
+            0u);
+  EXPECT_GT(lockdep::EdgeCount(LockRank::kTestInner, LockRank::kTestLeaf),
+            0u);
 }
 
 TEST_F(LockdepTest, AbbaInversionAborts) {
@@ -80,7 +87,7 @@ TEST_F(LockdepTest, AbbaInversionAborts) {
   EXPECT_DEATH(
       {
         util::MutexLock inner_lock(abba_inner);
-        util::MutexLock outer_lock(abba_outer);  // NOLINT(ds-analyze): seeded inversion under test
+        util::MutexLock outer_lock(abba_outer);
       },
       "rank inversion");
 }
@@ -93,22 +100,25 @@ TEST_F(LockdepTest, SameRankNestingAborts) {
   EXPECT_DEATH(
       {
         util::MutexLock a_lock(stripe_a);
-        util::MutexLock b_lock(stripe_b);  // NOLINT(ds-analyze): seeded same-rank nesting under test
+        util::MutexLock b_lock(stripe_b);
       },
       "rank inversion");
 }
 
 TEST_F(LockdepTest, CountAndContinueRecordsViolation) {
   lockdep::SetAbortOnViolation(false);
-  util::Mutex soft_outer{util::LockRank::kTestOuter};
-  util::Mutex soft_inner{util::LockRank::kTestInner};
+  // Static storage, here and in DisarmedCheckerIsInert (the two tests that
+  // block on a lock out of rank order): TSan keys mutexes by address, and
+  // std::mutex's trivial destructor never tells it a stack mutex died, so
+  // stack slots an earlier test locked in rank order would make this
+  // inversion a TSan lock-order report.
+  static util::Mutex soft_outer{util::LockRank::kTestOuter};
+  static util::Mutex soft_inner{util::LockRank::kTestInner};
   {
     util::MutexLock inner_lock(soft_inner);
-    util::MutexLock outer_lock(soft_outer);  // NOLINT(ds-analyze): seeded inversion under test
+    util::MutexLock outer_lock(soft_outer);
   }
   EXPECT_GE(lockdep::ViolationCount(), 1u);
-  const std::string json = lockdep::ObservedGraphJson();
-  EXPECT_EQ(json.find("\"violations\":0"), std::string::npos) << json;
 }
 
 TEST_F(LockdepTest, TryLockRecordsEdgeButNeverAborts) {
@@ -122,28 +132,8 @@ TEST_F(LockdepTest, TryLockRecordsEdgeButNeverAborts) {
     try_outer.Unlock();
   }
   EXPECT_EQ(lockdep::ViolationCount(), 0u);
-  const std::string json = lockdep::ObservedGraphJson();
-  EXPECT_NE(json.find("\"from\":\"test.inner\",\"to\":\"test.outer\""),
-            std::string::npos)
-      << json;
-}
-
-TEST_F(LockdepTest, UnrankedMutexesAreSkipped) {
-  // Default-constructed mutexes are outside the manifest: lockdep ignores
-  // them entirely (no class, no edges, no violations) in either order.
-  util::Mutex plain_a;
-  util::Mutex plain_b;
-  {
-    util::MutexLock a_lock(plain_a);
-    util::MutexLock b_lock(plain_b);
-  }
-  {
-    util::MutexLock b_lock(plain_b);
-    util::MutexLock a_lock(plain_a);  // NOLINT(ds-analyze): seeded unranked inversion under test
-  }
-  EXPECT_EQ(lockdep::ViolationCount(), 0u);
-  EXPECT_NE(lockdep::ObservedGraphJson().find("\"edges\":[]"),
-            std::string::npos);
+  EXPECT_GT(lockdep::EdgeCount(LockRank::kTestInner, LockRank::kTestOuter),
+            0u);
 }
 
 TEST_F(LockdepTest, OutOfOrderReleaseKeepsHeldStackConsistent) {
@@ -172,50 +162,22 @@ TEST_F(LockdepTest, CrossThreadEdgesAccumulateInOneGraph) {
     util::MutexLock inner_lock(shared_inner);
   }
   EXPECT_EQ(lockdep::ViolationCount(), 0u);
-  const std::string json = lockdep::ObservedGraphJson();
-  EXPECT_NE(json.find("\"from\":\"test.outer\",\"to\":\"test.inner\","
-                      "\"count\":2"),
-            std::string::npos)
-      << json;
-}
-
-TEST_F(LockdepTest, WriteObservedGraphRoundTrips) {
-  util::Mutex dump_outer{util::LockRank::kTestOuter};
-  util::Mutex dump_inner{util::LockRank::kTestInner};
-  {
-    util::MutexLock outer_lock(dump_outer);
-    util::MutexLock inner_lock(dump_inner);
-  }
-  const std::string path = ::testing::TempDir() + "/lock_order.json";
-  ASSERT_TRUE(lockdep::WriteObservedGraph(path));
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string json = ss.str();
-  EXPECT_EQ(json, lockdep::ObservedGraphJson());
-  // Every manifest class is listed, so ds_analyze --observed can diff
-  // declared ranks even for classes with no observed edges.
-  for (size_t i = 0; i < kNumLockRanks; ++i) {
-    EXPECT_NE(json.find("\"name\":\"" + std::string(kLockRankTable[i].name) +
-                        "\""),
-              std::string::npos)
-        << "class missing from dump: " << kLockRankTable[i].name;
-  }
-  EXPECT_NE(json.find("\"violations\":0"), std::string::npos) << json;
+  EXPECT_EQ(lockdep::EdgeCount(LockRank::kTestOuter, LockRank::kTestInner),
+            2u);
 }
 
 TEST_F(LockdepTest, DisarmedCheckerIsInert) {
   lockdep::SetEnabled(false);
-  util::Mutex off_outer{util::LockRank::kTestOuter};
-  util::Mutex off_inner{util::LockRank::kTestInner};
+  // Static: see CountAndContinueRecordsViolation.
+  static util::Mutex off_outer{util::LockRank::kTestOuter};
+  static util::Mutex off_inner{util::LockRank::kTestInner};
   {
+    // An inversion, invisible while disarmed.
     util::MutexLock inner_lock(off_inner);
-    util::MutexLock outer_lock(off_outer);  // NOLINT(ds-analyze): inversion invisible while disarmed
+    util::MutexLock outer_lock(off_outer);
   }
   EXPECT_EQ(lockdep::ViolationCount(), 0u);
-  EXPECT_NE(lockdep::ObservedGraphJson().find("\"edges\":[]"),
-            std::string::npos);
+  EXPECT_EQ(TotalEdgeCount(), 0u);
 }
 
 }  // namespace

@@ -4,8 +4,6 @@
 //
 //   --self-test            run the embedded rule corpus first
 //   --sarif=<path>         write findings as SARIF 2.1.0
-//   --baseline=<path>      suppress findings recorded in the baseline file
-//   --write-baseline=<p>   write the current findings as a new baseline
 //   --jobs=<n>             parallel file scanning (default: hardware)
 //
 // Walks the given roots for .h/.cc files and enforces:
@@ -55,17 +53,23 @@
 //                     is harvested from the swept tree itself: names that
 //                     ONLY ever return Status/Result (so EventLoop::Add is
 //                     exempt — obs::Counter::Add returns void).
+//   lock-rank-stale   Every row of the lock-order manifest's
+//                     DS_LOCK_RANK_TABLE (util/lock_order.h) must be
+//                     written as LockRank::<symbol> in some swept file; a
+//                     row that ranks no mutex is dead. Like
+//                     discarded-status, the use set is harvested from the
+//                     whole sweep, so the sweep must include every file
+//                     that constructs a ranked mutex.
 //   unused-nolint     A `NOLINT(ds-lint)` suppression on a line where no
 //                     rule fires is dead and gets flagged — suppressions
 //                     must not outlive what they suppress.
 //
-// A line containing `NOLINT(ds-lint)` is exempt (document why at the site).
-// Comments are stripped before matching; string/char literals are blanked
-// for the code rules and kept only for name extraction — all via the
-// shared ds/analysis layer, which ds_analyze uses identically. Exit status
-// is the number of findings (0 = clean). The ctest registration runs
-// `ds_lint --self-test --baseline=<repo>/tools/ds_lint_baseline.txt
-// <repo>/src <repo>/tools`.
+// A line containing `NOLINT(ds-lint)` is exempt (document why at the site);
+// it is the one suppression mechanism. Comments are stripped before
+// matching; string/char literals are blanked for the code rules and kept
+// only for name extraction — all via the ds/analysis text layer. Exit
+// status is nonzero on any finding. The ctest registration runs
+// `ds_lint --self-test <repo>/src <repo>/tools <repo>/tests/lockdep_test.cc`.
 
 #include <cctype>
 #include <cstdio>
@@ -76,7 +80,6 @@
 #include <thread>
 #include <vector>
 
-#include "ds/analysis/baseline.h"
 #include "ds/analysis/finding.h"
 #include "ds/analysis/sarif.h"
 #include "ds/analysis/scan.h"
@@ -95,10 +98,12 @@ using ds::analysis::StripMode;
 
 constexpr const char* kVersion = "2.0";
 
-/// Repo-wide facts the per-file rules need: the harvested set of function
-/// names that only ever return Status/Result (discarded-status rule).
+/// Repo-wide facts the per-file rules need, harvested from the whole sweep.
 struct LintContext {
+  /// Function names that only ever return Status/Result (discarded-status).
   std::set<std::string> status_returning;
+  /// Symbols written as LockRank::<symbol> (lock-rank-stale).
+  std::set<std::string> lock_rank_refs;
 };
 
 /// Per-file scratch handed to every rule: the stripped renderings plus
@@ -380,6 +385,38 @@ void CheckDiscardedStatus(const std::string& path, const FileContext& ctx,
   }
 }
 
+// The lock-order manifest must not outlive the code: a DS_LOCK_RANK_TABLE
+// row whose symbol no swept file writes as LockRank::<symbol> ranks no
+// mutex. Rows are `X(symbol, ...)` lines of the X-macro, which ends at the
+// first line without a continuation backslash. Unknown symbols need no
+// rule: LockRank is an enum class, so they do not compile.
+const std::regex kLockRankTable(R"(#\s*define\s+DS_LOCK_RANK_TABLE\b)");
+const std::regex kLockRankRow(R"(\bX\s*\(\s*(\w+))");
+
+void CheckLockRankStale(const std::string& path, const FileContext& ctx,
+                        const LintContext& repo, std::vector<Finding>* out) {
+  bool in_table = false;
+  for (size_t i = 0; i < ctx.code.size(); ++i) {
+    const std::string& line = ctx.code[i];
+    std::smatch m;
+    if (in_table && std::regex_search(line, m, kLockRankRow)) {
+      const std::string symbol = m[1].str();
+      if (repo.lock_rank_refs.count(symbol) == 0 && !ctx.Exempt(i + 1)) {
+        out->push_back({path, i + 1, "lock-rank-stale",
+                        "lock rank '" + symbol +
+                            "' ranks no mutex: no swept file writes "
+                            "LockRank::" + symbol +
+                            "; delete the row (or sweep the file that uses "
+                            "it)"});
+      }
+    }
+    const size_t last = line.find_last_not_of(" \t\r");
+    const bool continued = last != std::string::npos && line[last] == '\\';
+    in_table =
+        continued && (in_table || std::regex_search(line, kLockRankTable));
+  }
+}
+
 /// Flags NOLINT(ds-lint) lines no rule consulted. Runs after every other
 /// rule so ctx.nolint_used is complete.
 void CheckUnusedNolint(const std::string& path, const FileContext& ctx,
@@ -395,12 +432,12 @@ void CheckUnusedNolint(const std::string& path, const FileContext& ctx,
 
 // ---- Repo-wide harvest ----------------------------------------------------------
 
-/// Function names whose every swept declaration/definition returns Status
-/// or Result<...>. Names that also appear with any other return type are
-/// dropped (obs::Counter::Add returns void, so EventLoop::Add's Status
-/// does not put `Add` in the set).
-void HarvestStatusReturning(const std::vector<SourceFile>& files,
-                            LintContext* out) {
+/// One token pass over the whole sweep. status_returning: function names
+/// whose every swept declaration/definition returns Status or Result<...>;
+/// names that also appear with any other return type are dropped
+/// (obs::Counter::Add returns void, so EventLoop::Add's Status does not put
+/// `Add` in the set). lock_rank_refs: every `LockRank::<symbol>` in code.
+void HarvestRepo(const std::vector<SourceFile>& files, LintContext* out) {
   using ds::analysis::Token;
   using ds::analysis::TokenKind;
   std::set<std::string> status_names;
@@ -409,6 +446,10 @@ void HarvestStatusReturning(const std::vector<SourceFile>& files,
     const std::string code = StripCode(f.content, StripMode::kCommentsAndStrings);
     const std::vector<Token> toks = ds::analysis::Tokenize(code);
     for (size_t i = 0; i + 1 < toks.size(); ++i) {
+      if (toks[i].text == "LockRank" &&
+          ds::analysis::PunctIs(toks, i + 1, "::") && i + 2 < toks.size()) {
+        out->lock_rank_refs.insert(toks[i + 2].text);
+      }
       // NAME ( ... preceded by a type-ish token: classify by whether that
       // type is Status / Result<...>.
       if (toks[i].kind != TokenKind::kIdentifier ||
@@ -482,6 +523,7 @@ std::vector<Finding> LintContent(const std::string& path,
   CheckRawIntrinsics(path, ctx, &findings);
   CheckStressOracleSeed(path, ctx, &findings);
   CheckDiscardedStatus(path, ctx, repo, &findings);
+  CheckLockRankStale(path, ctx, repo, &findings);
   CheckUnusedNolint(path, ctx, &findings);
   return findings;
 }
@@ -647,13 +689,30 @@ const SelfCase kSelfCases[] = {
     {"used-nolint-allowed", "clean.cc",
      "static std::mutex g_mu;  // NOLINT(ds-lint): fixture predates wrapper\n",
      nullptr},
+    // lock-rank-stale: kSeedLeaf is a manifest row nothing ranks a mutex
+    // with; the same file plus one LockRank::kSeedLeaf use is clean.
+    {"lock-rank-stale", "util/lock_order.h",
+     "#define DS_LOCK_RANK_TABLE(X)          \\\n"
+     "  X(kSeedOuter, 100, \"seed.outer\",   \\\n"
+     "    \"Seed::outer_mu_\")                \\\n"
+     "  X(kSeedLeaf, 200, \"seed.leaf\", \"Seed::leaf_mu_\")\n"
+     "util::Mutex outer_mu_{util::LockRank::kSeedOuter};\n",
+     "lock-rank-stale"},
+    {"lock-rank-referenced-allowed", "util/lock_order.h",
+     "#define DS_LOCK_RANK_TABLE(X)          \\\n"
+     "  X(kSeedOuter, 100, \"seed.outer\",   \\\n"
+     "    \"Seed::outer_mu_\")                \\\n"
+     "  X(kSeedLeaf, 200, \"seed.leaf\", \"Seed::leaf_mu_\")\n"
+     "util::Mutex outer_mu_{util::LockRank::kSeedOuter};\n"
+     "util::Mutex leaf_mu_{util::LockRank::kSeedLeaf};\n",
+     nullptr},
 };
 
 int RunSelfTest() {
   int failures = 0;
   for (const SelfCase& c : kSelfCases) {
     LintContext repo;
-    HarvestStatusReturning({{c.path, c.content}}, &repo);
+    HarvestRepo({{c.path, c.content}}, &repo);
     const auto findings = LintContent(c.path, c.content, repo);
     if (c.expect_rule == nullptr) {
       if (!findings.empty()) {
@@ -693,7 +752,7 @@ const char* ArgValue(const char* arg, const char* flag) {
 
 int main(int argc, char** argv) {
   bool self_test = false;
-  std::string sarif_path, baseline_path, write_baseline_path;
+  std::string sarif_path;
   int jobs = static_cast<int>(std::thread::hardware_concurrency());
   if (jobs <= 0) jobs = 1;
   std::vector<std::string> roots;
@@ -703,19 +762,14 @@ int main(int argc, char** argv) {
       self_test = true;
     } else if ((v = ArgValue(argv[i], "--sarif")) != nullptr) {
       sarif_path = v;
-    } else if ((v = ArgValue(argv[i], "--baseline")) != nullptr) {
-      baseline_path = v;
-    } else if ((v = ArgValue(argv[i], "--write-baseline")) != nullptr) {
-      write_baseline_path = v;
     } else if ((v = ArgValue(argv[i], "--jobs")) != nullptr) {
       jobs = std::atoi(v);
       if (jobs <= 0) jobs = 1;
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::fprintf(stderr,
-                   "usage: ds_lint [--self-test] [--sarif=<path>]\n"
-                   "               [--baseline=<path>] "
-                   "[--write-baseline=<path>]\n"
-                   "               [--jobs=<n>] <file-or-directory>...\n");
+                   "usage: ds_lint [--self-test] [--sarif=<path>] "
+                   "[--jobs=<n>]\n"
+                   "               <file-or-directory>...\n");
       return 0;
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "ds_lint: unknown flag '%s' (see --help)\n",
@@ -736,7 +790,7 @@ int main(int argc, char** argv) {
   std::vector<SourceFile> files;
   if (!ds::analysis::CollectSources(roots, &files)) return 2;
   LintContext repo;
-  HarvestStatusReturning(files, &repo);
+  HarvestRepo(files, &repo);
 
   // Pre-partitioned parallel scan: slot i belongs to thread i mod jobs,
   // merged in input order afterwards — no locks, deterministic output.
@@ -747,28 +801,6 @@ int main(int argc, char** argv) {
   std::vector<Finding> findings;
   for (auto& f : per_file) {
     findings.insert(findings.end(), f.begin(), f.end());
-  }
-
-  if (!write_baseline_path.empty()) {
-    const std::string body =
-        ds::analysis::SerializeBaseline("ds_lint", findings);
-    if (!ds::analysis::WriteTextFile(write_baseline_path, body)) return 2;
-    std::fprintf(stderr, "ds_lint: wrote baseline (%zu finding(s)) to %s\n",
-                 findings.size(), write_baseline_path.c_str());
-  }
-
-  size_t suppressed = 0, stale = 0;
-  if (!baseline_path.empty()) {
-    ds::analysis::Baseline baseline;
-    if (!ds::analysis::LoadBaseline(baseline_path, &baseline)) return 2;
-    findings =
-        ds::analysis::ApplyBaseline(baseline, findings, &suppressed, &stale);
-    if (stale > 0) {
-      std::fprintf(stderr,
-                   "ds_lint: %zu stale baseline entr(ies) — regenerate with "
-                   "--write-baseline\n",
-                   stale);
-    }
   }
 
   if (!sarif_path.empty()) {

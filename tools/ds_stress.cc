@@ -3,7 +3,7 @@
 //
 //   ds_stress corpus=<dir> [seed=N] [seconds=S] [ms=M] [clients=N]
 //             [chaos=N] [net=0|1] [killer=0|1] [pairs=N] [workers=N]
-//             [queue=N] [quiet=0|1] [lockdep=0|1] [lockdep_dump=<path>]
+//             [queue=N] [quiet=0|1] [lockdep=0|1]
 //
 //   corpus    sketch corpus directory; trained on first use, reused after
 //             (safe to keep across runs — training dominates cold start)
@@ -17,10 +17,6 @@
 //   lockdep   arm the runtime lock-order checker (default 1; see
 //             ds/util/lockdep.h). An inversion aborts the run with both
 //             acquisition stacks — under chaos that is the point.
-//   lockdep_dump  write the observed acquired-after graph as
-//             lock_order.json after the run; CI feeds it back to
-//             `ds_analyze --observed=` to diff reality against the
-//             declared manifest (src/ds/util/lock_order.h)
 //
 // Exit status: 0 when every oracle held, 1 on any violation (the report
 // and the first violation messages go to stderr), 2 on setup failure.
@@ -74,8 +70,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: ds_stress corpus=<dir> [seed=N] [seconds=S] [ms=M] "
                  "[clients=N] [chaos=N] [net=0|1] [killer=0|1] [pairs=N] "
-                 "[workers=N] [queue=N] [quiet=0|1] [lockdep=0|1] "
-                 "[lockdep_dump=<path>]\n");
+                 "[workers=N] [queue=N] [quiet=0|1] [lockdep=0|1]\n");
     return 2;
   }
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
@@ -94,15 +89,8 @@ int main(int argc, char** argv) {
   // The soak always runs with the lock-order checker armed unless the
   // caller opts out; a violation aborts mid-run with both stacks.
   ds::util::lockdep::SetEnabled(flags.GetInt("lockdep", 1) != 0);
-  const std::string lockdep_dump = flags.GetString("lockdep_dump", "");
 
   auto report = ds::stress::RunStress(options);
-  if (!lockdep_dump.empty() &&
-      !ds::util::lockdep::WriteObservedGraph(lockdep_dump)) {
-    std::fprintf(stderr, "ds_stress: cannot write lockdep graph to '%s'\n",
-                 lockdep_dump.c_str());
-    return 2;
-  }
   if (!report.ok()) {
     std::fprintf(stderr, "ds_stress: setup failed: %s\n",
                  report.status().ToString().c_str());
