@@ -154,7 +154,7 @@ std::string UtcTimestamp() {
 
 void WriteBenchResultsJson(
     const std::string& path, const std::string& name,
-    const std::vector<OpResult>& ops, const std::string& mode,
+    const std::vector<OpResult>& ops,
     const std::vector<std::pair<std::string, std::string>>& extras) {
   std::error_code ec;
   const auto parent = std::filesystem::path(path).parent_path();
@@ -166,9 +166,8 @@ void WriteBenchResultsJson(
   }
   std::fprintf(f,
                "{\n  \"benchmark\": \"%s\",\n  \"git_sha\": \"%s\",\n"
-               "  \"timestamp\": \"%s\",\n  \"mode\": \"%s\",\n",
-               name.c_str(), GitSha().c_str(), UtcTimestamp().c_str(),
-               mode.c_str());
+               "  \"timestamp\": \"%s\",\n  \"mode\": \"inproc\",\n",
+               name.c_str(), GitSha().c_str(), UtcTimestamp().c_str());
   for (const auto& [key, value] : extras) {
     std::fprintf(f, "  \"%s\": \"%s\",\n", JsonEscape(key).c_str(),
                  JsonEscape(value).c_str());
@@ -188,8 +187,7 @@ void WriteBenchResultsJson(
 }
 
 void WriteBenchMetricsJson(const std::string& path, const std::string& name,
-                           const std::vector<MetricRow>& rows,
-                           const std::string& mode) {
+                           const std::vector<MetricRow>& rows) {
   std::error_code ec;
   const auto parent = std::filesystem::path(path).parent_path();
   if (!parent.empty()) std::filesystem::create_directories(parent, ec);
@@ -200,10 +198,10 @@ void WriteBenchMetricsJson(const std::string& path, const std::string& name,
   }
   std::fprintf(f,
                "{\n  \"benchmark\": \"%s\",\n  \"git_sha\": \"%s\",\n"
-               "  \"timestamp\": \"%s\",\n  \"mode\": \"%s\",\n"
+               "  \"timestamp\": \"%s\",\n  \"mode\": \"inproc\",\n"
                "  \"rows\": [\n",
                JsonEscape(name).c_str(), JsonEscape(GitSha()).c_str(),
-               UtcTimestamp().c_str(), JsonEscape(mode).c_str());
+               UtcTimestamp().c_str());
   for (size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(f, "    {\"name\": \"%s\"", JsonEscape(rows[i].name).c_str());
     for (const auto& [key, value] : rows[i].values) {

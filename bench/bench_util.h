@@ -70,20 +70,19 @@ OpResult MeasureOp(const std::string& op, size_t warmup, size_t iters,
                    size_t queries_per_call, const std::function<void()>& fn);
 
 /// Writes `ops` as a JSON document to `path`, creating parent directories:
-///   {"benchmark": name, "git_sha": ..., "timestamp": ..., "mode": ...,
+///   {"benchmark": name, "git_sha": ..., "timestamp": ..., "mode": "inproc",
 ///    "ops": [...]}
-/// git_sha comes from `git rev-parse` (or $DS_GIT_SHA, or "unknown"),
-/// timestamp is UTC ISO-8601 at write time, and `mode` records how the
-/// workload reached the server ("inproc" in-process calls, "net" over
-/// TCP) so result archives from different transports never get compared
-/// apples-to-oranges. `extras` adds string fields to the envelope (the
-/// kernel bench records the active SIMD tier and quant modes there, so two
-/// archives measured on different dispatch tiers are distinguishable).
-/// Errors print to stderr and are otherwise ignored (benchmarks still
-/// report on stdout).
+/// git_sha comes from `git rev-parse` (or $DS_GIT_SHA, or "unknown") and
+/// timestamp is UTC ISO-8601 at write time. `mode` is always "inproc":
+/// every bench binary calls the library in-process (wire serving is
+/// measured by perfbench/); the field stays so existing archives keep one
+/// schema. `extras` adds string fields to the envelope (the kernel bench
+/// records the active SIMD tier and quant modes there, so two archives
+/// measured on different dispatch tiers are distinguishable). Errors print
+/// to stderr and are otherwise ignored (benchmarks still report on stdout).
 void WriteBenchResultsJson(
     const std::string& path, const std::string& name,
-    const std::vector<OpResult>& ops, const std::string& mode = "inproc",
+    const std::vector<OpResult>& ops,
     const std::vector<std::pair<std::string, std::string>>& extras = {});
 
 /// One named row of scalar measurements for WriteBenchMetricsJson — the
@@ -95,13 +94,12 @@ struct MetricRow {
 };
 
 /// Writes `rows` with the same envelope as WriteBenchResultsJson:
-///   {"benchmark": name, "git_sha": ..., "timestamp": ..., "mode": ...,
+///   {"benchmark": name, "git_sha": ..., "timestamp": ..., "mode": "inproc",
 ///    "rows": [{"name": ..., "<metric>": v, ...}, ...]}
 /// so every bench binary leaves a comparable bench_results/*.json archive
 /// regardless of whether it measures latency ops or table-style metrics.
 void WriteBenchMetricsJson(const std::string& path, const std::string& name,
-                           const std::vector<MetricRow>& rows,
-                           const std::string& mode = "inproc");
+                           const std::vector<MetricRow>& rows);
 
 /// Converts PrintQErrorTable rows into MetricRows carrying the same
 /// aggregates the printed table shows (median/p90/p95/p99/max/mean).

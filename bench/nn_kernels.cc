@@ -318,7 +318,7 @@ int main(int argc, char** argv) {
       args.GetString("json", "bench_results/nn_kernels.json");
   if (!json_path.empty()) {
     bench::WriteBenchResultsJson(
-        json_path, "nn_kernels", ops, "inproc",
+        json_path, "nn_kernels", ops,
         {{"kernel_tier", nn::KernelTierName(tier)},
          {"quant", "fp32+int8+fp16"}});
   }

@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 R=bench_results
 for b in table1_joblight estimation_latency template_queries zero_tuple \
          generalization training_cost ablation_bitmaps ablation_samples \
-         sketch_footprint plan_quality serve_throughput; do
+         sketch_footprint plan_quality; do
   ./build/bench/bench_$b > $R/$b.txt
   echo "done: $b"
 done

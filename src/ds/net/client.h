@@ -1,6 +1,6 @@
 // NetClient: a blocking client for the ds::net binary protocol.
 //
-// Used by the networked loadgen mode, dsctl, and the integration tests.
+// Used by the load generator (ds/net/loadgen.h), dsctl, and the tests.
 // One client owns one TCP connection; the magic preamble is sent at
 // connect time, so the first frame can follow immediately.
 //

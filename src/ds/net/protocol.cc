@@ -1,5 +1,6 @@
 #include "ds/net/protocol.h"
 
+#include <charconv>
 #include <cstring>
 
 namespace ds::net {
@@ -263,6 +264,24 @@ Status ParseBatchResponse(std::string_view payload,
     return Status::ParseError("trailing bytes after batch response");
   }
   return Status::OK();
+}
+
+Result<HostPort> ParseHostPort(std::string_view text) {
+  const size_t colon = text.rfind(':');
+  if (colon == std::string_view::npos || colon == 0) {
+    return Status::InvalidArgument("expected host:port, got '" +
+                                   std::string(text) + "'");
+  }
+  const std::string_view digits = text.substr(colon + 1);
+  uint32_t port = 0;
+  const char* end = digits.data() + digits.size();
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, port);
+  if (digits.size() > 5 || ec != std::errc() || ptr != end || port > 65535) {
+    return Status::InvalidArgument("port must be 0-65535 in decimal, got '" +
+                                   std::string(text) + "'");
+  }
+  return HostPort{std::string(text.substr(0, colon)),
+                  static_cast<uint16_t>(port)};
 }
 
 }  // namespace ds::net

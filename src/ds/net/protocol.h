@@ -193,6 +193,18 @@ void AppendBatchItem(std::string* payload, const Result<double>& result);
 Status ParseBatchResponse(std::string_view payload,
                           std::vector<Result<double>>* out);
 
+/// A TCP endpoint as written on command lines: "host:port".
+struct HostPort {
+  std::string host;
+  uint16_t port = 0;
+};
+
+/// Parses "host:port", split at the last ':'. The host must be non-empty
+/// and the port 1-5 decimal digits with a value <= 65535. Port 0 is legal:
+/// to a listener it means "bind an ephemeral port". The one parser behind
+/// every host:port argument of ds_served and dsctl.
+Result<HostPort> ParseHostPort(std::string_view text);
+
 }  // namespace ds::net
 
 #endif  // DS_NET_PROTOCOL_H_

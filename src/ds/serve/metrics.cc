@@ -1,7 +1,5 @@
 #include "ds/serve/metrics.h"
 
-#include <cstdio>
-
 namespace ds::serve {
 
 const char* SubmitStatusName(SubmitStatus status) {
@@ -48,11 +46,6 @@ ServerMetrics::ServerMetrics(obs::Registry* r)
                                        "inference)")),
       result_cache_misses(*r->GetCounter("ds_serve_result_cache_misses_total",
                                          "Estimate-cache misses")),
-      stmt_cache_hits(*r->GetCounter("ds_serve_stmt_cache_hits_total",
-                                     "Statement-cache hits (skip "
-                                     "parse+bind)")),
-      stmt_cache_misses(*r->GetCounter("ds_serve_stmt_cache_misses_total",
-                                       "Statement-cache misses")),
       queue_wait_us(*r->GetHistogram("ds_serve_queue_wait_us",
                                      "Microseconds from Submit to dequeue "
                                      "by a worker")),
@@ -92,8 +85,6 @@ MetricsSnapshot ServerMetrics::Snapshot(const CacheStats& cache) const {
   s.batches = batches.value();
   s.result_cache_hits = result_cache_hits.value();
   s.result_cache_misses = result_cache_misses.value();
-  s.stmt_cache_hits = stmt_cache_hits.value();
-  s.stmt_cache_misses = stmt_cache_misses.value();
   s.cache = cache;
   s.queue_wait_us = queue_wait_us.Snapshot();
   s.infer_us = infer_us.Snapshot();
@@ -117,66 +108,6 @@ void ExportCacheStats(obs::Registry* registry, const CacheStats& cache) {
       "Serialized bytes of resident sketches", cache.bytes_in_use);
   set("ds_sketch_cache_resident", "Sketches currently resident",
       cache.sketches_loaded);
-}
-
-namespace {
-
-void AppendHistogramLine(std::string* out, const char* name,
-                         const HistogramSnapshot& h) {
-  char line[160];
-  std::snprintf(line, sizeof(line),
-                "  %-14s count %-8llu mean %-8.1f p50 %-6llu p95 %-6llu "
-                "p99 %-6llu max %llu\n",
-                name, static_cast<unsigned long long>(h.count), h.Mean(),
-                static_cast<unsigned long long>(h.ApproxPercentile(0.50)),
-                static_cast<unsigned long long>(h.ApproxPercentile(0.95)),
-                static_cast<unsigned long long>(h.ApproxPercentile(0.99)),
-                static_cast<unsigned long long>(h.max));
-  *out += line;
-}
-
-}  // namespace
-
-std::string MetricsSnapshot::ToString() const {
-  std::string out;
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "requests: submitted %llu  rejected %llu (queue_full %llu, "
-                "shedding %llu, shutdown %llu)  completed %llu  "
-                "failed %llu (bind errors %llu)  batches %llu\n",
-                static_cast<unsigned long long>(submitted),
-                static_cast<unsigned long long>(rejected),
-                static_cast<unsigned long long>(rejected_queue_full),
-                static_cast<unsigned long long>(rejected_shedding),
-                static_cast<unsigned long long>(rejected_shutdown),
-                static_cast<unsigned long long>(completed),
-                static_cast<unsigned long long>(failed),
-                static_cast<unsigned long long>(bind_errors),
-                static_cast<unsigned long long>(batches));
-  out += line;
-  std::snprintf(line, sizeof(line),
-                "cache: hits %llu  misses %llu  loads %llu (failures %llu)  "
-                "evictions %llu  resident %llu sketches / %llu bytes\n",
-                static_cast<unsigned long long>(cache.hits),
-                static_cast<unsigned long long>(cache.misses),
-                static_cast<unsigned long long>(cache.loads),
-                static_cast<unsigned long long>(cache.load_failures),
-                static_cast<unsigned long long>(cache.evictions),
-                static_cast<unsigned long long>(cache.sketches_loaded),
-                static_cast<unsigned long long>(cache.bytes_in_use));
-  out += line;
-  std::snprintf(line, sizeof(line),
-                "result cache: hits %llu  misses %llu   "
-                "stmt cache: hits %llu  misses %llu\n",
-                static_cast<unsigned long long>(result_cache_hits),
-                static_cast<unsigned long long>(result_cache_misses),
-                static_cast<unsigned long long>(stmt_cache_hits),
-                static_cast<unsigned long long>(stmt_cache_misses));
-  out += line;
-  AppendHistogramLine(&out, "queue wait us", queue_wait_us);
-  AppendHistogramLine(&out, "infer us", infer_us);
-  AppendHistogramLine(&out, "batch size", batch_size);
-  return out;
 }
 
 }  // namespace ds::serve

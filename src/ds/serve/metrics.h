@@ -5,14 +5,13 @@
 // references into an obs::Registry (names follow the Prometheus
 // conventions documented in README.md) so the same counters the server
 // bumps on its hot path are scraped via obs exposition — no second
-// bookkeeping path. MetricsSnapshot remains the benches' and tests' plain
-// value view.
+// bookkeeping path. MetricsSnapshot remains the benchmark's and tests'
+// plain value view.
 
 #ifndef DS_SERVE_METRICS_H_
 #define DS_SERVE_METRICS_H_
 
 #include <cstdint>
-#include <string>
 
 #include "ds/obs/metrics.h"
 
@@ -70,8 +69,10 @@ struct MetricsSnapshot {
   uint64_t result_cache_hits = 0;
   uint64_t result_cache_misses = 0;
 
-  // Bound-statement cache (sketch+SQL -> spec); hits skip parse+bind.
-  // hits + misses == estimate-cache misses (the only requests that bind).
+  // Always 0: the server has no statement cache, so every estimate-cache
+  // miss binds. Kept only because perfbench/src/main.cc reads both fields
+  // for serve.stmt_cache_hit_ratio, and perfbench changes only together
+  // with the benchmark definition.
   uint64_t stmt_cache_hits = 0;
   uint64_t stmt_cache_misses = 0;
 
@@ -80,9 +81,6 @@ struct MetricsSnapshot {
   HistogramSnapshot queue_wait_us;  // Submit -> dequeued by a worker
   HistogramSnapshot infer_us;       // featurize + forward per batch
   HistogramSnapshot batch_size;     // requests per coalesced batch
-
-  /// Multi-line human-readable report (the serve benches print this).
-  std::string ToString() const;
 };
 
 /// The instruments the server writes on its hot path, registered in an
@@ -103,8 +101,6 @@ struct ServerMetrics {
   Counter& batches;
   Counter& result_cache_hits;
   Counter& result_cache_misses;
-  Counter& stmt_cache_hits;
-  Counter& stmt_cache_misses;
   Histogram& queue_wait_us;
   Histogram& infer_us;
   Histogram& batch_size;

@@ -1,7 +1,6 @@
 #include "ds/serve/server.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <span>
 #include <string>
 #include <utility>
@@ -108,9 +107,6 @@ SketchServer::SketchServer(SketchRegistry* registry, ServerOptions options)
       WorkerLoop(shard);
     });
   }
-  if (options_.stats_dump_period_ms > 0) {
-    stats_dump_thread_ = std::thread([this] { StatsDumpLoop(); });
-  }
 }
 
 SketchServer::~SketchServer() { Stop(); }
@@ -150,30 +146,6 @@ obs::RegistrySnapshot SketchServer::ObsSnapshot() const {
 
 std::string SketchServer::MetricsJson() const {
   return obs::ToJson(ObsSnapshot());
-}
-
-void SketchServer::StatsDumpLoop() {
-  const auto period =
-      std::chrono::milliseconds(options_.stats_dump_period_ms);
-  util::MutexLock lock(dump_mu_);
-  while (!dump_stopping_) {
-    // Explicit wait loop (not a predicate overload): the thread-safety
-    // analysis cannot see through a wait lambda, and the deadline keeps
-    // spurious wakeups from shortening the dump period.
-    const auto deadline = std::chrono::steady_clock::now() + period;
-    while (!dump_stopping_ &&
-           dump_cv_.WaitUntil(lock, deadline) == std::cv_status::no_timeout) {
-    }
-    if (dump_stopping_) break;
-    lock.Unlock();
-    const std::string json = MetricsJson();
-    if (options_.stats_dump_sink) {
-      options_.stats_dump_sink(json);
-    } else {
-      std::fprintf(stderr, "%s\n", json.c_str());
-    }
-    lock.Lock();
-  }
 }
 
 void SketchServer::ApplyContext(Request* req, const RequestContext& ctx) {
@@ -368,12 +340,6 @@ void SketchServer::Stop() {
     if (w.joinable()) w.join();
   }
   workers_.clear();
-  {
-    util::MutexLock lock(dump_mu_);
-    dump_stopping_ = true;
-  }
-  dump_cv_.NotifyAll();
-  if (stats_dump_thread_.joinable()) stats_dump_thread_.join();
 }
 
 void SketchServer::TakeMatchingLocked(Shard* shard, const std::string& sketch,
@@ -405,7 +371,7 @@ void SketchServer::WorkerLoop(Shard* shard) {
     shard->queue.pop_front();
     const std::string sketch = batch.front().sketch;
     TakeMatchingLocked(shard, sketch, &batch);
-    if (options_.enable_batching && options_.max_wait_us > 0 &&
+    if (options_.max_wait_us > 0 &&
         batch.size() < options_.max_batch && !shard->stopping) {
       // Hold the batch open briefly so concurrent submitters can join it.
       const auto deadline = std::chrono::steady_clock::now() +
@@ -464,20 +430,15 @@ void SketchServer::ServeBatch(std::vector<Request> batch) {
     return;
   }
 
-  // Answer repeated statements from the estimate cache, bind the rest
-  // (statement-cache hits skip parse+bind); a request that fails to bind
-  // is answered immediately and excluded from the forward pass. Statements
-  // bind into the worker thread's scratch, whose containers keep their
-  // capacity, so a warm bind allocates nothing.
+  // Answer repeated statements from the estimate cache and bind the rest; a
+  // request that fails to bind is answered immediately and excluded from
+  // the forward pass. Statements bind into the worker thread's scratch,
+  // whose containers keep their capacity, so a warm bind allocates nothing.
   BatchScratch& s = LocalBatchScratch();
   size_t num_specs = 0;  // s.specs[0, num_specs) feed the forward pass
   s.spec_owner.clear();
   if (s.keys.size() < batch.size()) s.keys.resize(batch.size());
   s.bind_us.assign(batch.size(), 0);
-  auto next_spec = [&s, &num_specs]() -> workload::QuerySpec& {
-    if (num_specs == s.specs.size()) s.specs.emplace_back();
-    return s.specs[num_specs++];
-  };
   // All requests in a batch target the same sketch (TakeMatchingLocked
   // groups by name), so the (name, epoch) prefix is shared. The name is
   // length-prefixed because wire names may contain any byte, including the
@@ -489,7 +450,7 @@ void SketchServer::ServeBatch(std::vector<Request> batch) {
   const auto infer_start = std::chrono::steady_clock::now();
   for (size_t i = 0; i < batch.size(); ++i) {
     // Sampled requests get a thread-local trace context here, so the cache
-    // lookups and the parse/bind spans inside DeepSketch::BindSql attach
+    // lookup and the parse/bind spans inside DeepSketch::BindSql attach
     // under this request's root span.
     obs::ScopedTraceContext trace_scope(tracer_, batch[i].trace_id,
                                         batch[i].root_span);
@@ -509,17 +470,6 @@ void SketchServer::ServeBatch(std::vector<Request> batch) {
       }
       metrics_.result_cache_misses.Add();
     }
-    if (options_.stmt_cache_capacity > 0) {
-      if (auto cached = StmtCacheGet(key); cached != nullptr) {
-        metrics_.stmt_cache_hits.Add();
-        { obs::Span span("stmt_cache_hit"); }
-        next_spec() = *cached;
-        s.spec_owner.push_back(i);
-        s.bind_us[i] = obs::TraceRecorder::NowUs() - iter_start_us;
-        continue;
-      }
-      metrics_.stmt_cache_misses.Add();
-    }
     Status bound = (*sketch)->BindSql(batch[i].sql, &s.bound);
     if (bound.ok() && s.bound.placeholder.has_value()) {
       bound = Status::InvalidArgument(
@@ -534,8 +484,8 @@ void SketchServer::ServeBatch(std::vector<Request> batch) {
                    obs::TraceRecorder::NowUs() - iter_start_us, 0);
       continue;
     }
-    StmtCachePut(key, std::make_shared<const workload::QuerySpec>(s.bound.spec));
-    std::swap(next_spec(), s.bound.spec);
+    if (num_specs == s.specs.size()) s.specs.emplace_back();
+    std::swap(s.specs[num_specs++], s.bound.spec);
     s.spec_owner.push_back(i);
     s.bind_us[i] = obs::TraceRecorder::NowUs() - iter_start_us;
   }
@@ -595,16 +545,6 @@ void SketchServer::ServeBatch(std::vector<Request> batch) {
   metrics_.infer_us.Record(MicrosSince(infer_start));
 }
 
-std::shared_ptr<const workload::QuerySpec> SketchServer::StmtCacheGet(
-    const std::string& key) {
-  if (options_.stmt_cache_capacity == 0) return nullptr;
-  util::MutexLock lock(stmt_mu_);
-  auto it = stmt_cache_.find(key);
-  if (it == stmt_cache_.end()) return nullptr;
-  stmt_lru_.splice(stmt_lru_.begin(), stmt_lru_, it->second.lru_it);
-  return it->second.spec;
-}
-
 std::optional<double> SketchServer::ResultCacheGet(const std::string& key) {
   if (options_.result_cache_capacity == 0) return std::nullopt;
   util::MutexLock lock(result_mu_);
@@ -623,20 +563,6 @@ void SketchServer::ResultCachePut(const std::string& key, double value) {
   while (result_cache_.size() > options_.result_cache_capacity) {
     result_cache_.erase(result_lru_.back());
     result_lru_.pop_back();
-  }
-}
-
-void SketchServer::StmtCachePut(
-    const std::string& key,
-    std::shared_ptr<const workload::QuerySpec> spec) {
-  if (options_.stmt_cache_capacity == 0) return;
-  util::MutexLock lock(stmt_mu_);
-  if (stmt_cache_.count(key) > 0) return;  // a concurrent worker bound it too
-  stmt_lru_.push_front(key);
-  stmt_cache_.emplace(key, StmtEntry{std::move(spec), stmt_lru_.begin()});
-  while (stmt_cache_.size() > options_.stmt_cache_capacity) {
-    stmt_cache_.erase(stmt_lru_.back());
-    stmt_lru_.pop_back();
   }
 }
 

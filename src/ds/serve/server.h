@@ -24,23 +24,23 @@
 //
 // Observability: metrics live in an obs::Registry (private to the server by
 // default, injectable for shared exposition); sampled queries additionally
-// record a span tree — estimate > {queue_wait, cache lookups, parse, bind,
+// record a span tree — estimate > {queue_wait, cache lookup, parse, bind,
 // infer > {featurize, forward}} — into an obs::TraceRecorder. With
 // trace_sample_every == 0 the tracing hooks reduce to a relaxed load and a
-// thread-local check, which is not measurable in bench_serve_throughput.
+// thread-local check.
 //
 // Locking order (audited; enforced by the DS_EXCLUDES annotations below):
 //   stop_mu_  >  shard.mu        Stop() serializes shutdown under stop_mu_
-//   stop_mu_  >  dump_mu_        and flips each shard's stopping under its
+//                                and flips each shard's stopping under its
 //                                own mutex.
-//   shard.mu  ∥  stmt_mu_        The statement and result cache mutexes are
-//   shard.mu  ∥  result_mu_      leaf locks: the cache helpers are called
-//                                only from ServeBatch, which runs strictly
-//                                outside any shard mutex, and they never
-//                                take another lock — so no cycle is
-//                                possible. Shard mutexes are never held two
-//                                at a time (every code path touches exactly
-//                                the one shard it was routed to).
+//   shard.mu  ∥  result_mu_      The result cache mutex is a leaf lock: the
+//                                cache helpers are called only from
+//                                ServeBatch, which runs strictly outside any
+//                                shard mutex, and they never take another
+//                                lock — so no cycle is possible. Shard
+//                                mutexes are never held two at a time (every
+//                                code path touches exactly the one shard it
+//                                was routed to).
 
 #ifndef DS_SERVE_SERVER_H_
 #define DS_SERVE_SERVER_H_
@@ -65,7 +65,6 @@
 #include "ds/obs/trace.h"
 #include "ds/serve/metrics.h"
 #include "ds/serve/registry.h"
-#include "ds/workload/query_spec.h"
 
 namespace ds::serve {
 
@@ -83,34 +82,24 @@ struct ServerOptions {
   size_t max_batch = 32;
 
   /// How long a worker holding a non-full batch waits for more same-sketch
-  /// requests before running it. 0 (or enable_batching=false) means run
-  /// whatever one queue sweep found.
+  /// requests before running it. 0 means run whatever one queue sweep
+  /// found: each request is served as soon as a worker picks it up.
   uint64_t max_wait_us = 200;
 
   /// Pending-request bound across all shards; Submit rejects above a
   /// shard's even share of this.
   size_t queue_capacity = 4096;
 
-  /// Bound-statement cache entries, keyed by (sketch name, registry epoch,
-  /// SQL). A hit skips parse+bind entirely — the serving analogue of a
-  /// prepared-statement cache, sized for the "few distinct statements, many
-  /// submissions" workloads a sketch endpoint sees. 0 disables; LRU beyond
+  /// Estimate (result) cache entries, keyed by (sketch name, registry
+  /// epoch, SQL). A sketch estimate is a deterministic pure function of
+  /// (sketch, SQL), so repeated statements — dashboards, template sweeps —
+  /// are answered without parse, bind or inference. 0 disables; LRU beyond
   /// capacity.
-  size_t stmt_cache_capacity = 1024;
-
-  /// Estimate (result) cache entries, keyed like the statement cache. A
-  /// sketch estimate is a deterministic pure function of (sketch, SQL), so
-  /// repeated statements — dashboards, template sweeps — are answered
-  /// without re-running inference. 0 disables; LRU beyond capacity.
   /// Republishing a sketch under the same registry name is safe: the key
   /// carries the registry's publication epoch, which Put/Invalidate bump,
   /// so a retrained sketch never serves its predecessor's cached entries
   /// (the old-epoch entries just age out of the LRU).
   size_t result_cache_capacity = 4096;
-
-  /// When false, workers never wait for stragglers: each request is served
-  /// as soon as a worker picks it up (the bench's unbatched baseline).
-  bool enable_batching = true;
 
   /// Pin each worker thread to its own CPU (one per physical core first,
   /// see util::PlanWorkerCpus) before it serves its first batch. Pinning
@@ -141,12 +130,6 @@ struct ServerOptions {
   /// the server a private recorder (see flight()); the front-end passes a
   /// shared one so /tracez covers every backend it owns.
   obs::FlightRecorder* flight_recorder = nullptr;
-
-  /// When > 0, a background thread emits a JSON metrics snapshot (see
-  /// MetricsJson) every period. The snapshot goes to stats_dump_sink, or to
-  /// stderr when no sink is set.
-  uint64_t stats_dump_period_ms = 0;
-  std::function<void(const std::string& json)> stats_dump_sink;
 };
 
 /// Completion hook for SubmitManyAsync: `callback(index, result)` fires
@@ -239,7 +222,7 @@ class SketchServer {
   /// to obs::ToPrometheusText / obs::ToJson.
   obs::RegistrySnapshot ObsSnapshot() const;
 
-  /// JSON rendering of ObsSnapshot() (what the periodic stats dump emits).
+  /// JSON rendering of ObsSnapshot() (the STATS frame and `dsctl metrics`).
   std::string MetricsJson() const;
 
   /// The registry holding this server's instruments (the injected one, or
@@ -284,7 +267,6 @@ class SketchServer {
   };
 
   void WorkerLoop(Shard* shard) DS_EXCLUDES(shard->mu);
-  void StatsDumpLoop() DS_EXCLUDES(dump_mu_);
 
   Shard* PickShard(std::optional<size_t> hint);
 
@@ -332,17 +314,12 @@ class SketchServer {
                           std::vector<Request>* batch)
       DS_REQUIRES(shard->mu);
 
-  /// Resolves the sketch, binds each request's SQL (through the statement
-  /// cache), runs one EstimateMany, and fulfills every promise/callback.
-  /// Runs outside the shard mutexes (the cache mutexes it takes are leaf
-  /// locks, see the locking-order note in the file comment).
+  /// Resolves the sketch, answers repeated statements from the result
+  /// cache, binds the rest, runs one EstimateMany, and fulfills every
+  /// promise/callback. Runs outside the shard mutexes (the cache mutex it
+  /// takes is a leaf lock, see the locking-order note in the file comment).
   void ServeBatch(std::vector<Request> batch);
 
-  std::shared_ptr<const workload::QuerySpec> StmtCacheGet(
-      const std::string& key) DS_EXCLUDES(stmt_mu_);
-  void StmtCachePut(const std::string& key,
-                    std::shared_ptr<const workload::QuerySpec> spec)
-      DS_EXCLUDES(stmt_mu_);
   std::optional<double> ResultCacheGet(const std::string& key)
       DS_EXCLUDES(result_mu_);
   void ResultCachePut(const std::string& key, double value)
@@ -367,33 +344,16 @@ class SketchServer {
   size_t shard_capacity_ = 0;        // per-shard share of queue_capacity
   std::atomic<uint64_t> next_shard_{0};  // hint-less round-robin cursor
 
-  // Stats-dump thread coordination (separate from the shard mutexes so the
-  // dump period never contends with the hot path).
-  util::Mutex dump_mu_{util::LockRank::kServeServerDump};
-  util::CondVar dump_cv_;
-  bool dump_stopping_ DS_GUARDED_BY(dump_mu_) = false;
-
   // Shutdown serialization: joining and clearing the worker threads happens
   // under stop_mu_, so concurrent Stop() calls (or Stop() racing the
   // destructor) never join the same std::thread twice. Only the
   // constructor (exclusive access) and Stop() touch these members.
   util::Mutex stop_mu_{util::LockRank::kServeServerStop};
   std::vector<std::thread> workers_ DS_GUARDED_BY(stop_mu_);
-  std::thread stats_dump_thread_ DS_GUARDED_BY(stop_mu_);
   ServerMetrics metrics_;
 
-  // Bound-statement cache: (sketch name, registry epoch, SQL) ->
-  // placeholder-free spec (key layout built in ServeBatch).
-  struct StmtEntry {
-    std::shared_ptr<const workload::QuerySpec> spec;
-    std::list<std::string>::iterator lru_it;
-  };
-  util::Mutex stmt_mu_{util::LockRank::kServeServerStmtCache};
-  std::list<std::string> stmt_lru_ DS_GUARDED_BY(stmt_mu_);  // front = MRU
-  std::unordered_map<std::string, StmtEntry> stmt_cache_
-      DS_GUARDED_BY(stmt_mu_);
-
-  // Estimate cache: (sketch name, registry epoch, SQL) -> cardinality.
+  // Estimate cache: (sketch name, registry epoch, SQL) -> cardinality (key
+  // layout built in ServeBatch).
   struct ResultEntry {
     double value = 0;
     std::list<std::string>::iterator lru_it;

@@ -45,7 +45,8 @@ namespace ds::util {
 //   serve.server.stop    held while flipping shard stopping -> server.shard
 //   sketch.manager...    held across registry Contains -> registry.shard
 //   serve.server.shard   worker queues; dropped before ServeBatch, which
-//                        takes registry.shard and the cache leaf locks
+//                        takes registry.shard and the result-cache leaf
+//                        lock
 //   net.server.tenants   held across instrument creation -> obs.registry
 //   obs.drift.set        held across per-monitor Report -> obs.drift.monitor
 //   test.outer/inner/leaf  reserved for lockdep_test
@@ -57,12 +58,8 @@ namespace ds::util {
     "sketch::SketchManager::creating_mu_")                                     \
   X(kServeServerShard, 250, "serve.server.shard",                              \
     "serve::SketchServer::Shard::mu")                                          \
-  X(kServeServerDump, 300, "serve.server.dump",                                \
-    "serve::SketchServer::dump_mu_")                                           \
   X(kServeRegistryShard, 350, "serve.registry.shard",                          \
     "serve::SketchRegistry::Shard::mu")                                        \
-  X(kServeServerStmtCache, 400, "serve.server.stmt_cache",                     \
-    "serve::SketchServer::stmt_mu_")                                           \
   X(kServeServerResultCache, 410, "serve.server.result_cache",                 \
     "serve::SketchServer::result_mu_")                                         \
   X(kNetServerTenants, 450, "net.server.tenants",                              \

@@ -25,6 +25,7 @@
 #include "ds/net/admission.h"
 #include "ds/net/client.h"
 #include "ds/net/http.h"
+#include "ds/net/loadgen.h"
 #include "ds/net/protocol.h"
 #include "ds/net/server.h"
 #include "ds/obs/exposition.h"
@@ -234,6 +235,41 @@ TEST(ProtocolTest, WireStatusNamesAreStableLabels) {
   EXPECT_STREQ(net::WireStatusName(WireStatus::kOk), "ok");
   EXPECT_STREQ(net::WireStatusName(WireStatus::kError), "error");
   EXPECT_STREQ(net::WireStatusName(WireStatus::kRejected), "rejected");
+}
+
+TEST(ProtocolTest, ParseHostPortAcceptsOnlyDecimalPortsUpTo65535) {
+  const struct {
+    const char* text;
+    bool ok;
+    const char* host;
+    uint16_t port;
+  } kCases[] = {
+      {"127.0.0.1:0", true, "127.0.0.1", 0},  // 0 = ephemeral listen port
+      {"127.0.0.1:65535", true, "127.0.0.1", 65535},
+      {"localhost:7", true, "localhost", 7},
+      {"127.0.0.1:99999", false, "", 0},  // past 65535
+      {"127.0.0.1:65536", false, "", 0},
+      {"127.0.0.1:000001", false, "", 0},  // more than 5 digits
+      {"127.0.0.1:7x", false, "", 0},      // trailing garbage
+      {"127.0.0.1:", false, "", 0},        // no digits
+      {"127.0.0.1:-1", false, "", 0},
+      {"127.0.0.1:+1", false, "", 0},
+      {"127.0.0.1: 1", false, "", 0},
+      {"127.0.0.1", false, "", 0},  // no colon
+      {":80", false, "", 0},        // empty host
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.text);
+    auto parsed = net::ParseHostPort(c.text);
+    ASSERT_EQ(parsed.ok(), c.ok) << parsed.status().ToString();
+    if (!c.ok) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(parsed.status().message().find(c.text), std::string::npos);
+      continue;
+    }
+    EXPECT_EQ(parsed->host, c.host);
+    EXPECT_EQ(parsed->port, c.port);
+  }
 }
 
 // ------------------------------------------------------------ admission
@@ -596,6 +632,49 @@ TEST_F(NetServerTest, PingAndEstimate) {
   ASSERT_TRUE(direct.ok());
   EXPECT_DOUBLE_EQ(*estimate, *direct);
   StopAndCheckBalance(server.get());
+}
+
+TEST_F(NetServerTest, ClosedLoopLoadAccountsForEveryRequest) {
+  auto server = StartServer();
+  net::LoadOptions load;
+  load.threads = 2;
+  load.pipeline_depth = 4;
+  load.seconds = 0.2;
+  const net::LoadReport report =
+      net::RunClosedLoop("127.0.0.1", server->port(), "tiny", {kSql}, load);
+  EXPECT_GT(report.ok, 0u);
+  EXPECT_EQ(report.errors, 0u);
+  EXPECT_EQ(report.failed_connections, 0u);
+  EXPECT_EQ(report.latency_us.count, report.ok + report.errors);
+  EXPECT_GT(report.Qps(), 0.0);
+  EXPECT_EQ(NetCounter(*server, "ds_net_requests_total"),
+            report.ok + report.errors + report.rejected);
+  StopAndCheckBalance(server.get());
+}
+
+TEST(LoadgenTest, FailedConnectionsAreNotRequests) {
+  // A bound socket that never listens refuses every connection, and
+  // holding it keeps the port from being reused for the test's duration.
+  util::UniqueFd closed(socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(closed.valid());
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(bind(closed.get(), reinterpret_cast<sockaddr*>(&addr),
+                 sizeof(addr)),
+            0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(getsockname(closed.get(), reinterpret_cast<sockaddr*>(&addr),
+                        &len),
+            0);
+  net::LoadOptions load;
+  load.threads = 3;
+  load.seconds = 0.05;
+  const net::LoadReport report = net::RunClosedLoop(
+      "127.0.0.1", ntohs(addr.sin_port), "tiny", {kSql}, load);
+  EXPECT_EQ(report.failed_connections, 3u);
+  EXPECT_EQ(report.ok + report.errors + report.rejected, 0u);
+  EXPECT_EQ(report.Qps(), 0.0);
 }
 
 TEST_F(NetServerTest, UnknownSketchIsWireErrorNotDisconnect) {

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <filesystem>
 #include <future>
 #include <memory>
@@ -249,12 +248,10 @@ TEST_F(ServeTest, MetricsCountersAreConsistent) {
   EXPECT_EQ(m.batch_size.sum, m.submitted);
   EXPECT_GT(m.cache.hits + m.cache.misses, 0u);
   // Every request that reached a worker with a resolvable sketch did one
-  // estimate-cache lookup; only its misses proceed to the statement cache.
-  // Bad SQL never enters either cache, so it misses every time.
+  // estimate-cache lookup. Bad SQL never enters the cache, so it misses
+  // every time.
   EXPECT_EQ(m.result_cache_hits + m.result_cache_misses, kGood + kBad);
-  EXPECT_EQ(m.stmt_cache_hits + m.stmt_cache_misses, m.result_cache_misses);
   EXPECT_GE(m.result_cache_misses, std::size(kQueries) + kBad);
-  EXPECT_GE(m.stmt_cache_misses, std::size(kQueries) + kBad);
 }
 
 TEST_F(ServeTest, ResultCacheServesRepeatedStatements) {
@@ -269,16 +266,14 @@ TEST_F(ServeTest, ResultCacheServesRepeatedStatements) {
   EXPECT_EQ(m.result_cache_misses, 1u);  // the ResultCachePut precedes the
   EXPECT_EQ(m.result_cache_hits, 1u);    // first promise resolution
 
-  // With both caches disabled every request runs the full path.
+  // With the cache disabled every request runs the full path.
   ServerOptions raw_options;
   raw_options.result_cache_capacity = 0;
-  raw_options.stmt_cache_capacity = 0;
   SketchServer raw(&registry, raw_options);
   EXPECT_TRUE(raw.Submit("a", kQueries[0]).future.get().ok());
   EXPECT_TRUE(raw.Submit("a", kQueries[0]).future.get().ok());
   auto m2 = raw.Metrics();
   EXPECT_EQ(m2.result_cache_hits + m2.result_cache_misses, 0u);
-  EXPECT_EQ(m2.stmt_cache_hits + m2.stmt_cache_misses, 0u);
   EXPECT_EQ(m2.completed, 2u);
 }
 
@@ -299,7 +294,7 @@ TEST_F(ServeTest, BackpressureRejectsButResolvesEveryFuture) {
   ServerOptions options;
   options.num_workers = 1;
   options.queue_capacity = 1;
-  options.enable_batching = false;
+  options.max_wait_us = 0;
   SketchServer server(&registry, options);
 
   constexpr size_t kBurst = 2000;
@@ -360,8 +355,7 @@ TEST_F(ServeTest, TracingProducesPlausibleSpanTree) {
   ServerOptions options;
   options.num_workers = 1;
   options.trace_sample_every = 1;
-  // Caches off so the sampled query runs the full parse/bind/infer path.
-  options.stmt_cache_capacity = 0;
+  // Cache off so the sampled query runs the full parse/bind/infer path.
   options.result_cache_capacity = 0;
   SketchServer server(&registry, options);
   ASSERT_NE(server.tracer(), nullptr);
@@ -496,36 +490,6 @@ TEST_F(ServeTest, PrivateRegistriesKeepServersApart) {
   EXPECT_EQ(three.obs_registry(), &shared);
   ASSERT_TRUE(three.Submit("a", kQueries[0]).future.get().ok());
   EXPECT_EQ(shared.GetCounter("ds_serve_submitted_total")->value(), 1u);
-}
-
-TEST_F(ServeTest, PeriodicStatsDumpEmitsJson) {
-  SketchRegistry registry(DiskOptions());
-  ServerOptions options;
-  options.stats_dump_period_ms = 5;
-  std::mutex mu;
-  std::vector<std::string> dumps;
-  options.stats_dump_sink = [&](const std::string& json) {
-    std::lock_guard<std::mutex> lock(mu);
-    dumps.push_back(json);
-  };
-  SketchServer server(&registry, options);
-  ASSERT_TRUE(server.Submit("a", kQueries[0]).future.get().ok());
-  // Wait (bounded) for at least two periodic dumps.
-  for (int i = 0; i < 400; ++i) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (dumps.size() >= 2) break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  server.Stop();
-  std::lock_guard<std::mutex> lock(mu);
-  ASSERT_GE(dumps.size(), 2u);
-  for (const std::string& d : dumps) {
-    EXPECT_EQ(d.rfind("{\"metrics\":[", 0), 0u);
-  }
-  EXPECT_NE(dumps.back().find("ds_serve_completed_total"),
-            std::string::npos);
 }
 
 TEST_F(ServeTest, ConcurrentStopIsSafe) {

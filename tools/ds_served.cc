@@ -13,7 +13,8 @@
 // which is what the CI integration smoke uses.
 //
 //   listen       bind address, default 127.0.0.1:0 (ephemeral; the chosen
-//                port is printed — scripts parse the "listening on" line)
+//                port is printed — scripts parse the "listening on" line).
+//                A malformed address or a port past 65535 exits 2.
 //   workers      SketchServer batching workers (default 2)
 //   net_workers  event-loop threads, 0 = one per physical core
 //   rate/burst   per-tenant token-bucket admission (0 = admit everything)
@@ -53,6 +54,7 @@
 
 #include "ds/datagen/imdb.h"
 #include "ds/datagen/tpch.h"
+#include "ds/net/protocol.h"
 #include "ds/net/server.h"
 #include "ds/nn/quant.h"
 #include "ds/obs/flight_recorder.h"
@@ -153,6 +155,12 @@ int main(int argc, char** argv) {
                  "demo=imdb|tpch; see --help)\n");
     return 2;
   }
+  // Checked before any sketch is trained or loaded, so a typo fails fast.
+  auto listen = net::ParseHostPort(flags.GetString("listen", "127.0.0.1:0"));
+  if (!listen.ok()) {
+    Fail(listen.status());
+    return 2;
+  }
 
   serve::RegistryOptions registry_options;
   const std::string quant = flags.GetString("quant", "fp32");
@@ -198,16 +206,8 @@ int main(int argc, char** argv) {
   obs::SetCrashFlightRecorder(backend.flight());
 
   net::NetServerOptions net_options;
-  const std::string listen = flags.GetString("listen", "127.0.0.1:0");
-  const auto colon = listen.rfind(':');
-  if (colon == std::string::npos) {
-    std::fprintf(stderr, "ds_served: listen must be host:port, got '%s'\n",
-                 listen.c_str());
-    return 2;
-  }
-  net_options.host = listen.substr(0, colon);
-  net_options.port = static_cast<uint16_t>(
-      std::strtoul(listen.c_str() + colon + 1, nullptr, 10));
+  net_options.host = listen->host;
+  net_options.port = listen->port;
   net_options.num_workers =
       static_cast<size_t>(flags.GetInt("net_workers", 0));
   net_options.pin_threads = flags.GetInt("pin", 1) != 0;

@@ -21,26 +21,15 @@
 //       Expand a '?' template from the sketch's column sample and estimate
 //       every instance.
 //
-//   dsctl serve-bench <sketch-file> <SQL> [threads=N] [depth=N] [workers=N]
-//               [seconds=S] [max_batch=N] [wait_us=N]
-//       Closed-loop throughput of the serving layer on this sketch:
-//       unbatched baseline vs. micro-batched, plus the server's metrics
-//       and the client-side latency percentile table.
-//
-//   dsctl serve <sketch-file> [--listen=host:port] [name=N] [workers=N]
-//               [net_workers=N] [rate=R] [burst=B] [seconds=S]
-//       Serve the sketch over TCP (binary protocol + HTTP; see
-//       src/ds/net/protocol.h) until Ctrl-C. listen defaults to
-//       127.0.0.1:0 — the bound port is printed. rate/burst enable
-//       per-tenant token-bucket admission control.
-//
 //   dsctl netload <host:port> <sketch-name> [SQL...] [threads=N] [depth=N]
-//                 [trace=N]  -- sample 1 in N requests for wire tracing
-//               [seconds=S] [tenant=T]
-//       Closed-loop networked load against a running ds_served / dsctl
-//       serve: each thread keeps `depth` pipelined ESTIMATE frames in
-//       flight. With no SQL arguments a demo-imdb corpus is used. Exits
-//       nonzero if any request errored (rejections are reported but OK).
+//                 [seconds=S] [tenant=T] [trace=N]
+//       Closed-loop networked load against a running ds_served: each thread
+//       keeps `depth` pipelined ESTIMATE frames in flight; trace=N samples
+//       1 in N requests for wire tracing. With no SQL arguments a demo-imdb
+//       corpus is used. Exits nonzero if any request errored, any client
+//       failed to connect, or nothing was answered (rejections are
+//       reported but OK). Serving a sketch file over TCP is ds_served's
+//       job: `ds_served <sketch-file>` serves it under its file stem.
 //
 //   dsctl metrics <sketch-file> <SQL> [requests=N] [format=prom|json]
 //       Serve N copies of the query through a SketchServer and print the
@@ -74,9 +63,7 @@
 // train imdb ... seed=42` answers queries about exactly the dataset that
 // `dsctl gen imdb ... seed=42` exports.
 
-#include <atomic>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -87,20 +74,20 @@
 #include <vector>
 
 #include "ds/datagen/imdb.h"
-#include "ds/net/client.h"
-#include "ds/net/server.h"
 #include "ds/datagen/tpch.h"
 #include "ds/mscn/logger.h"
+#include "ds/net/client.h"
+#include "ds/net/loadgen.h"
+#include "ds/net/protocol.h"
 #include "ds/obs/export.h"
 #include "ds/obs/exposition.h"
 #include "ds/obs/trace.h"
-#include "ds/util/json_check.h"
-#include "ds/serve/loadgen.h"
 #include "ds/serve/registry.h"
 #include "ds/serve/server.h"
 #include "ds/sketch/deep_sketch.h"
 #include "ds/sketch/template.h"
 #include "ds/storage/csv.h"
+#include "ds/util/json_check.h"
 #include "ds/util/string_util.h"
 
 using namespace ds;
@@ -156,6 +143,12 @@ Result<std::unique_ptr<storage::Catalog>> MakeDataset(
 int Fail(const Status& status) {
   std::fprintf(stderr, "dsctl: %s\n", status.ToString().c_str());
   return 1;
+}
+
+/// Like Fail, for a malformed argument: exit code 2, as for a usage error.
+int BadArgument(const Status& status) {
+  Fail(status);
+  return 2;
 }
 
 int CmdGen(int argc, char** argv) {
@@ -297,138 +290,6 @@ int CmdTemplate(int argc, char** argv) {
   return 0;
 }
 
-int CmdServeBench(int argc, char** argv) {
-  if (argc < 4) {
-    std::fprintf(stderr,
-                 "usage: dsctl serve-bench <sketch-file> <SQL> [...]\n");
-    return 2;
-  }
-  Flags flags = ParseFlags(argc, argv, 4);
-  auto sketch = sketch::DeepSketch::Load(argv[2]);
-  if (!sketch.ok()) return Fail(sketch.status());
-  // Fail fast on SQL the sketch cannot answer, before spinning up threads.
-  if (auto probe = sketch->EstimateSql(argv[3]); !probe.ok()) {
-    return Fail(probe.status());
-  }
-
-  serve::SketchRegistry registry(serve::RegistryOptions{});
-  registry.Put("sketch", std::move(sketch).value());
-  const std::vector<std::string> sqls = {argv[3]};
-
-  serve::LoadOptions load;
-  load.threads = static_cast<size_t>(flags.GetInt("threads", 4));
-  load.seconds = 1.0;
-  if (auto s = flags.GetString("seconds", ""); !s.empty()) {
-    load.seconds = std::strtod(s.c_str(), nullptr);
-  }
-
-  serve::ServerOptions options;
-  options.num_workers = static_cast<size_t>(flags.GetInt("workers", 2));
-  options.max_batch = static_cast<size_t>(flags.GetInt("max_batch", 32));
-  options.max_wait_us = static_cast<uint64_t>(flags.GetInt("wait_us", 200));
-
-  // Baseline: strict single-threaded unbatched request/response loop.
-  double baseline_qps = 0;
-  {
-    serve::ServerOptions base = options;
-    base.num_workers = 1;
-    base.enable_batching = false;
-    serve::SketchServer server(&registry, base);
-    serve::LoadOptions one;
-    one.seconds = load.seconds;
-    baseline_qps = serve::RunClosedLoop(&server, "sketch", sqls, one).Qps();
-    std::printf("unbatched 1-thread baseline: %8.0f q/s\n", baseline_qps);
-  }
-
-  load.pipeline_depth = static_cast<size_t>(flags.GetInt("depth", 8));
-  serve::SketchServer server(&registry, options);
-  auto report = serve::RunClosedLoop(&server, "sketch", sqls, load);
-  server.Stop();
-  std::printf(
-      "batched, %zu threads x depth %zu: %8.0f q/s (%.2fx baseline, "
-      "%llu errors)\n\n",
-      load.threads, load.pipeline_depth, report.Qps(),
-      report.Qps() / baseline_qps,
-      static_cast<unsigned long long>(report.errors));
-  std::printf("%s", server.Metrics().ToString().c_str());
-  std::printf("%s", report.LatencyTable().c_str());
-  return 0;
-}
-
-std::atomic<bool> g_serve_stop{false};
-
-void HandleServeSignal(int) {
-  g_serve_stop.store(true, std::memory_order_relaxed);
-}
-
-int CmdServe(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: dsctl serve <sketch-file> [--listen=host:port] "
-                 "[name=N] [workers=N] [net_workers=N] [rate=R] [burst=B] "
-                 "[seconds=S]\n");
-    return 2;
-  }
-  Flags flags = ParseFlags(argc, argv, 3);
-  auto sketch = sketch::DeepSketch::Load(argv[2]);
-  if (!sketch.ok()) return Fail(sketch.status());
-  const std::string default_name =
-      std::filesystem::path(argv[2]).stem().string();
-  const std::string name = flags.GetString("name", default_name);
-  serve::SketchRegistry registry{serve::RegistryOptions{}};
-  registry.Put(name, std::move(sketch).value());
-
-  serve::ServerOptions serve_options;
-  serve_options.num_workers =
-      static_cast<size_t>(flags.GetInt("workers", 2));
-  serve_options.num_queue_shards = serve_options.num_workers;
-  serve::SketchServer backend(&registry, serve_options);
-
-  net::NetServerOptions net_options;
-  const std::string listen = flags.GetString(
-      "--listen", flags.GetString("listen", "127.0.0.1:0"));
-  const auto colon = listen.rfind(':');
-  if (colon == std::string::npos) {
-    std::fprintf(stderr, "dsctl: listen must be host:port, got '%s'\n",
-                 listen.c_str());
-    return 2;
-  }
-  net_options.host = listen.substr(0, colon);
-  net_options.port = static_cast<uint16_t>(
-      std::strtoul(listen.c_str() + colon + 1, nullptr, 10));
-  net_options.num_workers =
-      static_cast<size_t>(flags.GetInt("net_workers", 0));
-  net_options.admission.tenant_rate =
-      static_cast<double>(flags.GetInt("rate", 0));
-  net_options.admission.tenant_burst =
-      static_cast<double>(flags.GetInt("burst", 0));
-  net::NetServer front(&backend, net_options);
-  if (auto st = front.Start(); !st.ok()) return Fail(st);
-  std::printf("dsctl: serving '%s' on %s:%u (%zu net workers)\n",
-              name.c_str(), net_options.host.c_str(), front.port(),
-              front.num_workers());
-  std::fflush(stdout);
-
-  std::signal(SIGINT, HandleServeSignal);
-  std::signal(SIGTERM, HandleServeSignal);
-  const double seconds =
-      std::strtod(flags.GetString("seconds", "0").c_str(), nullptr);
-  const auto start = std::chrono::steady_clock::now();
-  while (!g_serve_stop.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    if (seconds > 0 &&
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-                .count() >= seconds) {
-      break;
-    }
-  }
-  front.Stop();
-  backend.Stop();
-  std::printf("%s", backend.Metrics().ToString().c_str());
-  return 0;
-}
-
 int CmdNetLoad(int argc, char** argv) {
   if (argc < 4) {
     std::fprintf(stderr,
@@ -436,16 +297,8 @@ int CmdNetLoad(int argc, char** argv) {
                  "[threads=N] [depth=N] [seconds=S] [tenant=T] [trace=N]\n");
     return 2;
   }
-  const std::string target = argv[2];
-  const auto colon = target.rfind(':');
-  if (colon == std::string::npos) {
-    std::fprintf(stderr, "dsctl: target must be host:port, got '%s'\n",
-                 target.c_str());
-    return 2;
-  }
-  const std::string host = target.substr(0, colon);
-  const auto port = static_cast<uint16_t>(
-      std::strtoul(target.c_str() + colon + 1, nullptr, 10));
+  const auto target = net::ParseHostPort(argv[2]);
+  if (!target.ok()) return BadArgument(target.status());
   Flags flags;
   std::vector<std::string> sqls;
   for (int i = 4; i < argc; ++i) {
@@ -470,7 +323,7 @@ int CmdNetLoad(int argc, char** argv) {
     };
   }
 
-  serve::LoadOptions load;
+  net::LoadOptions load;
   load.threads = static_cast<size_t>(flags.GetInt("threads", 4));
   load.pipeline_depth = static_cast<size_t>(flags.GetInt("depth", 4));
   load.seconds = std::strtod(flags.GetString("seconds", "5").c_str(), nullptr);
@@ -478,20 +331,24 @@ int CmdNetLoad(int argc, char** argv) {
       static_cast<uint64_t>(flags.GetInt("trace", 0));
   const std::string tenant = flags.GetString("tenant", "");
 
-  auto report = serve::RunNetClosedLoop(host, port, argv[3], sqls, load,
-                                        tenant);
+  auto report = net::RunClosedLoop(target->host, target->port, argv[3], sqls,
+                                   load, tenant);
   std::printf(
       "netload %s sketch '%s': %zu threads x depth %zu for %.1fs\n"
-      "  %8.0f q/s  ok=%llu errors=%llu rejected=%llu\n",
-      target.c_str(), argv[3], load.threads, load.pipeline_depth,
-      load.seconds, report.Qps(),
-      static_cast<unsigned long long>(report.ok),
+      "  %8.0f q/s  ok=%llu errors=%llu rejected=%llu "
+      "failed_connections=%llu\n",
+      argv[2], argv[3], load.threads, load.pipeline_depth, load.seconds,
+      report.Qps(), static_cast<unsigned long long>(report.ok),
       static_cast<unsigned long long>(report.errors),
-      static_cast<unsigned long long>(report.rejected));
+      static_cast<unsigned long long>(report.rejected),
+      static_cast<unsigned long long>(report.failed_connections));
   std::printf("%s", report.LatencyTable().c_str());
   // Errors mean the server answered with failures or dropped connections;
   // rejections are an expected overload outcome and do not fail the run.
-  return report.errors == 0 && report.ok > 0 ? 0 : 1;
+  return report.errors == 0 && report.failed_connections == 0 &&
+                 report.ok > 0
+             ? 0
+             : 1;
 }
 
 /// Shared by CmdMetrics / CmdTrace: loads the sketch, serves `requests`
@@ -543,22 +400,6 @@ int CmdMetrics(int argc, char** argv) {
   return 0;
 }
 
-/// Parses "host:port" into its parts; false (with a message printed) when
-/// the argument has no colon.
-bool ParseHostPort(const std::string& target, std::string* host,
-                   uint16_t* port) {
-  const auto colon = target.rfind(':');
-  if (colon == std::string::npos) {
-    std::fprintf(stderr, "dsctl: expected host:port, got '%s'\n",
-                 target.c_str());
-    return false;
-  }
-  *host = target.substr(0, colon);
-  *port = static_cast<uint16_t>(
-      std::strtoul(target.c_str() + colon + 1, nullptr, 10));
-  return true;
-}
-
 int WriteOutput(const std::string& out_path, const std::string& body) {
   if (out_path.empty()) {
     std::printf("%s\n", body.c_str());
@@ -599,10 +440,10 @@ int CmdTraceExport(int argc, char** argv) {
   Flags flags;
   if (remote) {
     flags = ParseFlags(argc, argv, 4);
-    std::string host;
-    uint16_t port = 0;
-    if (!ParseHostPort(target, &host, &port)) return 2;
-    auto body = net::HttpGet(host, port, "/tracez?format=chrome");
+    const auto endpoint = net::ParseHostPort(target);
+    if (!endpoint.ok()) return BadArgument(endpoint.status());
+    auto body =
+        net::HttpGet(endpoint->host, endpoint->port, "/tracez?format=chrome");
     if (!body.ok()) return Fail(body.status());
     json = std::move(body).value();
   } else {
@@ -615,7 +456,6 @@ int CmdTraceExport(int argc, char** argv) {
     flags = ParseFlags(argc, argv, 5);
     serve::ServerOptions options;
     options.trace_sample_every = 1;
-    options.stmt_cache_capacity = 0;
     options.result_cache_capacity = 0;
     serve::SketchRegistry registry(serve::RegistryOptions{});
     auto server = ServeQueries(
@@ -639,15 +479,15 @@ int CmdTop(int argc, char** argv) {
                  "usage: dsctl top <host:port> [interval=S] [iters=N]\n");
     return 2;
   }
-  std::string host;
-  uint16_t port = 0;
-  if (!ParseHostPort(argv[2], &host, &port)) return 2;
+  const auto endpoint = net::ParseHostPort(argv[2]);
+  if (!endpoint.ok()) return BadArgument(endpoint.status());
   Flags flags = ParseFlags(argc, argv, 3);
   const double interval =
       std::strtod(flags.GetString("interval", "2").c_str(), nullptr);
   const int64_t iters = flags.GetInt("iters", 0);
   for (int64_t i = 0; iters <= 0 || i < iters; ++i) {
-    auto body = net::HttpGet(host, port, "/statusz?format=text");
+    auto body =
+        net::HttpGet(endpoint->host, endpoint->port, "/statusz?format=text");
     if (!body.ok()) return Fail(body.status());
     // A single fetch (iters=1) is the scriptable mode — no screen clear.
     if (iters != 1) std::printf("\x1b[H\x1b[2J");
@@ -697,7 +537,6 @@ int CmdTrace(int argc, char** argv) {
   serve::ServerOptions options;
   options.trace_sample_every = 1;
   // Traces should show real parse/bind/infer work, not cache hits.
-  options.stmt_cache_capacity = 0;
   options.result_cache_capacity = 0;
   serve::SketchRegistry registry(serve::RegistryOptions{});
   auto server = ServeQueries(
@@ -720,8 +559,8 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: dsctl "
-                 "<gen|train|info|estimate|template|serve|netload|"
-                 "serve-bench|metrics|trace|top|jsoncheck> ...\n");
+                 "<gen|train|info|estimate|template|netload|metrics|trace|"
+                 "top|jsoncheck> ...\n");
     return 2;
   }
   const std::string cmd = argv[1];
@@ -730,9 +569,7 @@ int main(int argc, char** argv) {
   if (cmd == "info") return CmdInfo(argc, argv);
   if (cmd == "estimate") return CmdEstimate(argc, argv);
   if (cmd == "template") return CmdTemplate(argc, argv);
-  if (cmd == "serve") return CmdServe(argc, argv);
   if (cmd == "netload") return CmdNetLoad(argc, argv);
-  if (cmd == "serve-bench") return CmdServeBench(argc, argv);
   if (cmd == "metrics") return CmdMetrics(argc, argv);
   if (cmd == "trace") return CmdTrace(argc, argv);
   if (cmd == "top") return CmdTop(argc, argv);

@@ -13,7 +13,9 @@
 # sides; ds_served itself additionally exits nonzero if the wire-level
 # ds_net_requests_total != sum of ds_net_responses_total).
 #
-# Also exercises the admin status plane (/healthz, /readyz, /statusz,
+# First, before the daemon starts, checks that a port past 65535 is a
+# usage error (exit 2) for both ds_served listen= and dsctl netload, not
+# silently truncated to 16 bits. Also exercises the admin status plane (/healthz, /readyz, /statusz,
 # /tracez), validates `dsctl trace export` output with `dsctl jsoncheck`,
 # dumps the flight recorder via SIGUSR1, and checks the drain-aware
 # /readyz transition after SIGTERM.
@@ -36,6 +38,24 @@ cleanup() {
   rm -f "$LOG"
 }
 trap cleanup EXIT
+
+# Runs "$@" and fails the smoke unless it exits 2. The timeout turns a
+# daemon that wrongly starts serving into a failure instead of a hang.
+expect_exit_2() {
+  local out code=0
+  out=$(timeout 60 "$@" 2>&1) || code=$?
+  if [[ "$code" -ne 2 ]]; then
+    echo "FAIL: '$*' exited $code, expected 2:" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+  echo "   $out"
+}
+
+echo "== bad host:port arguments exit 2"
+# demo=imdb gives the daemon something to serve, so only the port is wrong.
+expect_exit_2 "$DS_SERVED" demo=imdb listen=127.0.0.1:99999
+expect_exit_2 "$DSCTL" netload 127.0.0.1:99999 demo
 
 echo "== starting ds_served (demo sketch, ephemeral port)"
 "$DS_SERVED" demo=imdb listen=127.0.0.1:0 workers=2 trace=8 \
