@@ -12,8 +12,9 @@
 // is also checked: literals never seen during training still estimate
 // sensibly.
 //
-// Usage: bench_template_queries [titles=15000] [queries=8000] [epochs=25]
-//        [samples=256] [buckets=10] [keyword=artificial-intelligence]
+// Usage: bench_template_queries [titles=15000] [queries=10000] [epochs=25]
+//        [samples=512] [buckets=10] [keyword=artificial-intelligence]
+//        [seed=42]
 
 #include <algorithm>
 #include <cstdio>

@@ -166,13 +166,76 @@ Result<workload::QuerySpec> ResolveStringLiterals(
   return resolved;
 }
 
+namespace {
+
+// True when `spec` and its neighbour `prev` hold the same predicates on
+// `table`, in the same order: then the table's bitmap row is the same.
+bool SameTablePredicates(const std::string& table,
+                         const workload::QuerySpec& spec,
+                         const workload::QuerySpec& prev) {
+  const auto& a = spec.predicates;
+  const auto& b = prev.predicates;
+  for (size_t i = 0, j = 0;; ++i, ++j) {
+    while (i < a.size() && a[i].table != table) ++i;
+    while (j < b.size() && b[j].table != table) ++j;
+    if (i == a.size() || j == b.size()) return i == a.size() && j == b.size();
+    if (!(a[i] == b[j])) return false;
+  }
+}
+
+// Emits the set bits among the first `width` bytes of `bitmap` as columns
+// base + j of the table row being built (base: the first bitmap column,
+// above the row's table one-hot at `table_idx`).
+void EmitBitmap(const std::vector<uint8_t>& bitmap, size_t width,
+                uint32_t base, size_t table_idx, nn::SparseRows* rows) {
+  const size_t n = std::min(bitmap.size(), width);
+  const uint8_t* bm = bitmap.data();
+  size_t count = 0;
+  for (size_t j = 0; j < n; ++j) count += bm[j] != 0;
+  const size_t start = rows->cols.size();
+  // Branch-free emission: every column index is stored and the cursor only
+  // moves past set bits, so irregular bitmaps (range predicates) cost no
+  // mispredictions. The last store can land one past the row's final
+  // entry: one slot of slack, trimmed below.
+  rows->cols.resize(start + count + 1);
+  rows->vals.resize(start + count, 1.0f);
+  uint32_t* cp = rows->cols.data() + start;
+  for (size_t j = 0; j < n; ++j) {
+    *cp = base + static_cast<uint32_t>(j);
+    cp += bm[j] != 0;
+  }
+  // This path writes cols directly (bypassing Push and its checks), so
+  // re-assert the CSR invariants it must uphold: every reserved slot
+  // filled, and the first bitmap column above the one-hot index keeps the
+  // row strictly increasing (bitmap columns ascend with j).
+  DS_DCHECK(cp == rows->cols.data() + start + count,
+            "bitmap emission filled %zu of %zu reserved CSR slots",
+            static_cast<size_t>(cp - (rows->cols.data() + start)), count);
+  DS_DCHECK(base > static_cast<uint32_t>(table_idx),
+            "bitmap base %u must lie above table one-hot index %zu", base,
+            table_idx);
+  rows->cols.pop_back();
+}
+
+}  // namespace
+
 Status FeatureSpace::FeaturizeSparse(const workload::QuerySpec& spec,
                                      const est::SampleSet& samples,
                                      bool use_bitmaps,
                                      FeaturizeScratch* scratch,
-                                     SparseQueryFeatures* out) const {
+                                     SparseQueryFeatures* out,
+                                     const workload::QuerySpec* prev_spec,
+                                     const SparseQueryFeatures* prev) const {
+  DS_REQUIRE((prev_spec == nullptr) == (prev == nullptr),
+             "a neighbour needs both its spec and its features");
+  DS_REQUIRE(prev == nullptr ||
+                 (prev->tables.rows() == prev_spec->tables.size() &&
+                  prev->joins.rows() == prev_spec->joins.size() &&
+                  prev->predicates.rows() == prev_spec->predicates.size()),
+             "neighbour features do not match the neighbour's spec");
   // Resolve string literals through a reused scratch copy; the common case
-  // (numeric-only predicates) featurizes straight from `spec`.
+  // (numeric-only predicates) featurizes straight from `spec`. Neighbour
+  // comparisons use the unresolved specs: equal literals resolve equally.
   const workload::QuerySpec* q = &spec;
   if (HasStringLiterals(spec)) {
     scratch->resolved = spec;
@@ -185,73 +248,73 @@ Status FeatureSpace::FeaturizeSparse(const workload::QuerySpec& spec,
   // index is always below the bitmap base, so columns stay strictly
   // increasing; zero bitmap bytes are simply not emitted (the dense kernel
   // skips zeros, so the accumulation order is identical).
-  for (const auto& tname : q->tables) {
+  for (size_t t = 0; t < q->tables.size(); ++t) {
+    const std::string& tname = q->tables[t];
+    if (use_bitmaps && prev_spec != nullptr &&
+        t < prev_spec->tables.size() && prev_spec->tables[t] == tname &&
+        SameTablePredicates(tname, spec, *prev_spec)) {
+      // Same table, same predicates: the neighbour's row is this row.
+      out->tables.AppendRowFrom(prev->tables, t);
+      continue;
+    }
     DS_ASSIGN_OR_RETURN(size_t idx, TableIndex(tname));
     out->tables.Push(static_cast<uint32_t>(idx), 1.0f);
     if (use_bitmaps) {
       DS_RETURN_NOT_OK(samples.BitmapInto(tname, q->predicates,
                                           &scratch->bound, &scratch->bitmap));
-      const size_t n = std::min(scratch->bitmap.size(), sample_size_);
-      // Bulk-emit the set bits: count, resize once, then fill — hundreds
-      // of entries per table row, so per-entry push_back bounds checks
-      // show up in the serving featurize profile.
-      size_t count = 0;
-      for (size_t j = 0; j < n; ++j) count += scratch->bitmap[j] != 0;
-      const uint32_t base = static_cast<uint32_t>(table_names_.size());
-      const size_t start = out->tables.cols.size();
-      out->tables.cols.resize(start + count);
-      out->tables.vals.resize(start + count, 1.0f);
-      uint32_t* cp = out->tables.cols.data() + start;
-      for (size_t j = 0; j < n; ++j) {
-        if (scratch->bitmap[j]) *cp++ = base + static_cast<uint32_t>(j);
-      }
-      // This path writes cols directly (bypassing Push and its checks), so
-      // re-assert the CSR invariants it must uphold: every reserved slot
-      // filled, and the first bitmap column above the one-hot index keeps
-      // the row strictly increasing (bitmap columns ascend with j).
-      DS_DCHECK(cp == out->tables.cols.data() + start + count,
-                "bitmap bulk-emit filled %zu of %zu reserved CSR slots",
-                static_cast<size_t>(cp - (out->tables.cols.data() + start)),
-                count);
-      DS_DCHECK(base > static_cast<uint32_t>(idx),
-                "bitmap base %u must lie above table one-hot index %zu",
-                base, idx);
+      EmitBitmap(scratch->bitmap, sample_size_,
+                 static_cast<uint32_t>(table_names_.size()), idx,
+                 &out->tables);
     }
     out->tables.EndRow();
   }
 
-  // Join set: a single one. The canonical key is rebuilt in scratch strings
+  // Join set: a single one. An unchanged join list copies the neighbour's
+  // rows; otherwise the canonical key is rebuilt in scratch strings
   // (JoinKey allocates fresh ones).
-  for (const auto& join : q->joins) {
-    auto assign_side = [](std::string* s, const std::string& t,
-                          const std::string& c) {
-      s->clear();
-      *s += t;
-      *s += '.';
-      *s += c;
-    };
-    assign_side(&scratch->side_a, join.left_table, join.left_column);
-    assign_side(&scratch->side_b, join.right_table, join.right_column);
-    const std::string* a = &scratch->side_a;
-    const std::string* b = &scratch->side_b;
-    if (*b < *a) std::swap(a, b);
-    scratch->key.clear();
-    scratch->key += *a;
-    scratch->key += '=';
-    scratch->key += *b;
-    auto it = join_index_.find(scratch->key);
-    if (it == join_index_.end()) {
-      return Status::InvalidArgument(
-          "join " + join.ToString() +
-          " is outside this sketch's feature space");
+  if (prev_spec != nullptr && spec.joins == prev_spec->joins) {
+    for (size_t r = 0; r < prev->joins.rows(); ++r) {
+      out->joins.AppendRowFrom(prev->joins, r);
     }
-    out->joins.Push(static_cast<uint32_t>(it->second), 1.0f);
-    out->joins.EndRow();
+  } else {
+    for (const auto& join : q->joins) {
+      auto assign_side = [](std::string* s, const std::string& t,
+                            const std::string& c) {
+        s->clear();
+        *s += t;
+        *s += '.';
+        *s += c;
+      };
+      assign_side(&scratch->side_a, join.left_table, join.left_column);
+      assign_side(&scratch->side_b, join.right_table, join.right_column);
+      const std::string* a = &scratch->side_a;
+      const std::string* b = &scratch->side_b;
+      if (*b < *a) std::swap(a, b);
+      scratch->key.clear();
+      scratch->key += *a;
+      scratch->key += '=';
+      scratch->key += *b;
+      auto it = join_index_.find(scratch->key);
+      if (it == join_index_.end()) {
+        return Status::InvalidArgument(
+            "join " + join.ToString() +
+            " is outside this sketch's feature space");
+      }
+      out->joins.Push(static_cast<uint32_t>(it->second), 1.0f);
+      out->joins.EndRow();
+    }
   }
 
   // Predicate set: column one-hot, op one-hot, literal (skipped when it
-  // normalizes to exactly zero — the dense path's zero-skip equivalent).
-  for (const auto& pred : q->predicates) {
+  // normalizes to exactly zero — the dense path's zero-skip equivalent). A
+  // predicate equal to the neighbour's at the same index copies its row.
+  for (size_t k = 0; k < q->predicates.size(); ++k) {
+    if (prev_spec != nullptr && k < prev_spec->predicates.size() &&
+        spec.predicates[k] == prev_spec->predicates[k]) {
+      out->predicates.AppendRowFrom(prev->predicates, k);
+      continue;
+    }
+    const workload::ColumnPredicate& pred = q->predicates[k];
     scratch->key.clear();
     scratch->key += pred.table;
     scratch->key += '.';

@@ -105,10 +105,20 @@ class FeatureSpace {
   /// `out` with strictly increasing column indices and no explicit zeros —
   /// so ToDense() matches the dense path bit-for-bit. With a warm scratch
   /// and output, featurizing touches no allocator.
+  ///
+  /// `prev_spec`/`prev` optionally name the spec featurized just before
+  /// with this scratch, against the same samples, and its features (a batch
+  /// neighbour, such as the previous instance of a template). Then a table
+  /// element whose table and ordered predicates equal the neighbour's at
+  /// the same position, an equal join list, and a predicate equal to the
+  /// neighbour's at the same index copy the neighbour's rows; everything
+  /// else is featurized as without a neighbour. The output is identical to
+  /// the call without one.
   Status FeaturizeSparse(const workload::QuerySpec& spec,
                          const est::SampleSet& samples, bool use_bitmaps,
-                         FeaturizeScratch* scratch,
-                         SparseQueryFeatures* out) const;
+                         FeaturizeScratch* scratch, SparseQueryFeatures* out,
+                         const workload::QuerySpec* prev_spec = nullptr,
+                         const SparseQueryFeatures* prev = nullptr) const;
 
   void Write(util::BinaryWriter* writer) const;
   static Result<FeatureSpace> Read(util::BinaryReader* reader);

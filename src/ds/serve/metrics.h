@@ -104,10 +104,10 @@ struct ServerMetrics {
   Histogram& queue_wait_us;
   Histogram& infer_us;
   Histogram& batch_size;
-  /// Heap allocations observed during the last EstimateMany batch (0 once
-  /// the per-thread scratch is warm). With multiple workers, allocations
-  /// from other threads can land in the measurement window, so read it as a
-  /// single-worker steady-state health signal rather than an exact count.
+  /// Heap allocations the worker thread made during its last EstimateMany
+  /// batch (0 once the per-thread scratch is warm). The count is per
+  /// thread, so other workers never land in it; with several workers the
+  /// gauge shows whichever batch finished last.
   Gauge& batch_allocations;
 
   /// The rejection counter for `status` (which must not be kOk).

@@ -189,28 +189,11 @@ Result<double> DeepSketch::EstimateSql(const std::string& sql) const {
 
 Result<double> DeepSketch::EstimateCardinality(
     const workload::QuerySpec& spec) const {
-  auto features =
-      use_sample_bitmaps_
-          ? space_.FeaturizeWithSamples(spec, samples_)
-          : [&]() -> Result<mscn::QueryFeatures> {
-              DS_ASSIGN_OR_RETURN(workload::QuerySpec resolved,
-                                  mscn::ResolveStringLiterals(spec, samples_));
-              return space_.Featurize(resolved, {});
-            }();
-  if (!features.ok()) {
-    if (features.status().code() == StatusCode::kNotFound) {
-      // A categorical literal that does not exist anywhere in the data: the
-      // true count is 0; estimate the minimum.
-      return 1.0;
-    }
-    return features.status();
-  }
-  mscn::Dataset single;
-  single.features.push_back(std::move(features).value());
-  single.labels.push_back(0);
-  mscn::Batch batch = mscn::MakeBatch(single, {0}, space_);
-  nn::Tensor y = model_->Infer(batch);
-  return normalizer_.Denormalize(static_cast<double>(y.at(0)));
+  // A one-element batch: the same sparse path and thread-local scratch as
+  // every batch, so a warm single estimate allocates nothing either.
+  static thread_local std::vector<Result<double>> results;
+  EstimateManyInto(std::span(&spec, 1), &results);
+  return results.front();
 }
 
 std::vector<Result<double>> DeepSketch::EstimateMany(
@@ -256,21 +239,28 @@ void DeepSketch::EstimateManyInto(std::span<const workload::QuerySpec> specs,
   s.positions.clear();
   {
     obs::Span span("featurize", specs.size());
+    // Each spec is featurized next to its predecessor in the batch, when
+    // that one featurized: consecutive template instances share every row
+    // but the placeholder's (see FeaturizeSparse).
+    const workload::QuerySpec* prev = nullptr;
     for (size_t i = 0; i < specs.size(); ++i) {
       const size_t slot = s.positions.size();
       if (slot >= s.features.size()) s.features.emplace_back();
-      Status st = space_.FeaturizeSparse(specs[i], samples_,
-                                         use_sample_bitmaps_, &s.featurize,
-                                         &s.features[slot]);
+      Status st = space_.FeaturizeSparse(
+          specs[i], samples_, use_sample_bitmaps_, &s.featurize,
+          &s.features[slot], prev,
+          prev != nullptr ? &s.features[slot - 1] : nullptr);
       if (!st.ok()) {
         if (st.code() != StatusCode::kNotFound) {
           // Bad spec: fail this slot only, the batch proceeds without it.
           (*out)[i] = st;
         }
         // kNotFound (unknown literal): keep the minimum estimate of 1.
+        prev = nullptr;
         continue;
       }
       s.positions.push_back(i);
+      prev = &specs[i];
     }
   }
   if (s.positions.empty()) return;

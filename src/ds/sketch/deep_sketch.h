@@ -99,23 +99,31 @@ class DeepSketch final : public est::CardinalityEstimator {
 
   // --- Figure 1b: SQL in, estimate out -------------------------------------
   //
-  // Thread-safety: all estimation and binding methods are const and touch no
-  // mutable state (inference runs through MscnModel::Infer), so a trained or
-  // loaded sketch may be shared by any number of concurrently estimating
-  // threads without external synchronization.
+  // Thread-safety: all estimation and binding methods are const and keep
+  // their scratch thread-local, so a trained or loaded sketch may be shared
+  // by any number of concurrently estimating threads without external
+  // synchronization.
 
   /// Estimates the result size of a SQL COUNT(*) query. Unknown categorical
   /// literals (strings absent from the data) estimate 1 tuple.
   Result<double> EstimateSql(const std::string& sql) const;
 
-  /// Estimator interface over pre-bound query specs.
+  /// Estimator interface over pre-bound query specs: a one-element
+  /// EstimateManyInto, so it returns exactly the bits a batch returns and a
+  /// warm call allocates nothing. A spec naming a table, join or column
+  /// outside the sketch returns InvalidArgument; exec::Optimizer estimates
+  /// every subplan through this call, so planning such a query with a Deep
+  /// Sketch as its estimator fails instead of costing the subplan at 1. A
+  /// thread's first call sets up its estimation scratch (with the 8 MiB
+  /// arena, prefaulted unless DS_ARENA=0), as its first batch does.
   Result<double> EstimateCardinality(
       const workload::QuerySpec& spec) const override;
   std::string name() const override { return "Deep Sketch"; }
 
   /// Batched estimation: featurizes all specs and runs a single padded
   /// forward pass — the serving layer's hot path and how the demo backend
-  /// evaluates the many instances of a query template efficiently. Order of
+  /// evaluates the many instances of a query template efficiently (each
+  /// spec reuses the feature rows it shares with its predecessor). Order of
   /// results matches `specs`. Failures are per query: a spec that cannot be
   /// featurized yields an errored Result in its slot without poisoning the
   /// rest of the batch (unknown categorical literals still estimate 1).

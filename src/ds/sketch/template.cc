@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 namespace ds::sketch {
 
@@ -52,17 +51,34 @@ Result<std::vector<TemplateInstance>> InstantiateTemplate(
   DS_ASSIGN_OR_RETURN(const Column* col, ts->rows->GetColumn(ph.column));
 
   // Distinct sampled values, sorted: "we draw a value from the column sample
-  // that is part of the sketch."
-  std::set<double> distinct;
+  // that is part of the sketch." A stable sort plus unique keeps the first
+  // sampled of equal values (as a std::set would), without a node per value.
+  std::vector<double> values;
+  values.reserve(col->size());
   for (size_t r = 0; r < col->size(); ++r) {
-    if (!col->IsNull(r)) distinct.insert(col->GetNumeric(r));
+    if (!col->IsNull(r)) values.push_back(col->GetNumeric(r));
   }
-  if (distinct.empty()) {
+  if (values.empty()) {
     return Status::InvalidArgument("placeholder column '" + ph.table + "." +
                                    ph.column +
                                    "' has no non-null sampled values");
   }
-  std::vector<double> values(distinct.begin(), distinct.end());
+  std::stable_sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+
+  // Each instance is the bound spec plus one (distinct) or two (bucket)
+  // placeholder predicates; room for them is reserved up front.
+  auto instance_of = [&](size_t extra) {
+    TemplateInstance inst;
+    inst.spec.tables = bound.spec.tables;
+    inst.spec.joins = bound.spec.joins;
+    inst.spec.predicates.reserve(bound.spec.predicates.size() + extra);
+    inst.spec.predicates = bound.spec.predicates;
+    return inst;
+  };
+  auto placeholder_predicate = [&](CompareOp op, double v) {
+    return ColumnPredicate{ph.table, ph.column, op, NumericToCell(*col, v)};
+  };
 
   std::vector<TemplateInstance> instances;
 
@@ -72,24 +88,20 @@ Result<std::vector<TemplateInstance>> InstantiateTemplate(
     if (options.max_instances <= 1) {
       chosen.push_back(values[values.size() / 2]);
     } else if (values.size() <= options.max_instances) {
-      chosen = values;
+      chosen = std::move(values);
     } else {
+      chosen.reserve(options.max_instances);
       for (size_t i = 0; i < options.max_instances; ++i) {
         size_t idx = i * (values.size() - 1) / (options.max_instances - 1);
         chosen.push_back(values[idx]);
       }
       chosen.erase(std::unique(chosen.begin(), chosen.end()), chosen.end());
     }
+    instances.reserve(chosen.size());
     for (double v : chosen) {
-      TemplateInstance inst;
+      TemplateInstance inst = instance_of(1);
       inst.label = ValueLabel(*col, v);
-      inst.spec = bound.spec;
-      ColumnPredicate pred;
-      pred.table = ph.table;
-      pred.column = ph.column;
-      pred.op = ph.op;
-      pred.literal = NumericToCell(*col, v);
-      inst.spec.predicates.push_back(std::move(pred));
+      inst.spec.predicates.push_back(placeholder_predicate(ph.op, v));
       instances.push_back(std::move(inst));
     }
     return instances;
@@ -106,19 +118,19 @@ Result<std::vector<TemplateInstance>> InstantiateTemplate(
   }
   const size_t num_buckets =
       std::max<size_t>(1, std::min(options.num_buckets, values.size()));
+  instances.reserve(num_buckets);
   for (size_t b = 0; b < num_buckets; ++b) {
     const size_t begin = b * values.size() / num_buckets;
     const size_t end = (b + 1) * values.size() / num_buckets;
     if (begin >= end) continue;
     const double first = values[begin];
     const double last = values[end - 1];
-    TemplateInstance inst;
+    TemplateInstance inst = instance_of(2);
     inst.label = "[";
     inst.label += ValueLabel(*col, first);
     inst.label += " .. ";
     inst.label += ValueLabel(*col, last);
     inst.label += "]";
-    inst.spec = bound.spec;
     // (first, last) inclusive via strict bounds nudged outside the range.
     double lo, hi;
     if (col->type() == ColumnType::kInt64) {
@@ -130,16 +142,8 @@ Result<std::vector<TemplateInstance>> InstantiateTemplate(
       lo = first - nudge;
       hi = last + nudge;
     }
-    ColumnPredicate lower;
-    lower.table = ph.table;
-    lower.column = ph.column;
-    lower.op = CompareOp::kGt;
-    lower.literal = NumericToCell(*col, lo);
-    ColumnPredicate upper = lower;
-    upper.op = CompareOp::kLt;
-    upper.literal = NumericToCell(*col, hi);
-    inst.spec.predicates.push_back(std::move(lower));
-    inst.spec.predicates.push_back(std::move(upper));
+    inst.spec.predicates.push_back(placeholder_predicate(CompareOp::kGt, lo));
+    inst.spec.predicates.push_back(placeholder_predicate(CompareOp::kLt, hi));
     instances.push_back(std::move(inst));
   }
   return instances;

@@ -1,6 +1,5 @@
 #include "ds/util/alloc.h"
 
-#include <atomic>
 #include <cstdlib>
 #include <new>
 
@@ -21,13 +20,13 @@
 
 namespace {
 
-std::atomic<uint64_t> g_alloc_count{0};
-std::atomic<uint64_t> g_alloc_bytes{0};
+// Constant-initialized, so operator new can bump it on any thread at any
+// time, before or during static initialization, without a TLS guard.
+thread_local uint64_t t_alloc_count = 0;
 
 #if DS_ALLOC_COUNTING
 void* CountedAlloc(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+  ++t_alloc_count;
   // malloc(0) may return nullptr legitimately; operator new must not.
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) throw std::bad_alloc();
@@ -41,13 +40,7 @@ namespace ds::util {
 
 bool AllocCountingAvailable() { return DS_ALLOC_COUNTING != 0; }
 
-uint64_t AllocCount() {
-  return g_alloc_count.load(std::memory_order_relaxed);
-}
-
-uint64_t AllocBytes() {
-  return g_alloc_bytes.load(std::memory_order_relaxed);
-}
+uint64_t AllocCount() { return t_alloc_count; }
 
 }  // namespace ds::util
 
@@ -57,8 +50,7 @@ void* operator new(std::size_t size) { return CountedAlloc(size); }
 void* operator new[](std::size_t size) { return CountedAlloc(size); }
 
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+  ++t_alloc_count;
   return std::malloc(size == 0 ? 1 : size);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {

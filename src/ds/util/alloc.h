@@ -1,11 +1,12 @@
-// Process-wide heap-allocation counting.
+// Per-thread heap-allocation counting.
 //
 // alloc.cc replaces the global operator new/delete with forwarding versions
-// that bump relaxed atomic counters. The counters cost one uncontended
-// atomic add per allocation — cheap enough to leave on in Release builds —
-// and power the "zero allocations per steady-state batch" checks: tests and
-// benches read AllocCount() before/after a hot-path call, and the serving
-// layer exports the per-batch delta as a gauge.
+// that bump the calling thread's counter. The counter is a plain
+// thread_local — cheap enough to leave on in Release builds — and powers the
+// "zero allocations per steady-state batch" checks: tests and benches read
+// AllocCount() before/after a hot-path call on the same thread, and the
+// serving layer exports each worker's per-batch delta as a gauge. Other
+// threads' allocations never land in such a delta.
 //
 // Under ASan/TSan/MSan the replacement is compiled out (the sanitizer
 // runtimes interpose the allocator themselves); AllocCountingAvailable()
@@ -22,11 +23,8 @@ namespace ds::util {
 /// True when operator new/delete are instrumented in this build.
 bool AllocCountingAvailable();
 
-/// Heap allocations (operator new calls) so far, process-wide.
+/// Heap allocations (operator new calls) made so far by the calling thread.
 uint64_t AllocCount();
-
-/// Bytes requested from operator new so far, process-wide.
-uint64_t AllocBytes();
 
 }  // namespace ds::util
 

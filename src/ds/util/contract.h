@@ -25,9 +25,9 @@
 // warm-capacity grow-once API, is allowed), and (2) checked at runtime when
 // armed via SetNoAllocEnforcement(true): leaving the region with a nonzero
 // AllocCount() delta is a contract violation. Enforcement is off by default
-// — warmup batches legitimately grow capacity, and the counter is
-// process-wide, so tests arm it only around single-threaded steady-state
-// sections.
+// — warmup batches legitimately grow capacity, so tests arm it only around
+// steady-state sections. The count is per thread: a region sees only its
+// own thread's allocations.
 
 #ifndef DS_UTIL_CONTRACT_H_
 #define DS_UTIL_CONTRACT_H_
@@ -120,8 +120,7 @@ void ContractFailed(ContractKind kind, const char* file, int line,
 
 /// Global switch for runtime DS_NO_ALLOC enforcement (off by default).
 bool NoAllocEnforcementEnabled();
-/// Returns the previous value. Arm only around single-threaded steady-state
-/// sections: AllocCount() is process-wide.
+/// Returns the previous value. Arm only around steady-state sections.
 bool SetNoAllocEnforcement(bool enabled);
 
 /// Scope guard behind DS_NO_ALLOC_BEGIN/END. When enforcement is armed and

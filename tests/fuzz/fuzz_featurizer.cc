@@ -3,7 +3,10 @@
 // both featurization paths run; the sparse CSR path is documented to
 // reproduce the dense rows bit-for-bit, so the harness enforces
 // dense/sparse parity (same success/failure, identical row-by-row values)
-// and aborts on divergence — a libFuzzer-visible crash.
+// and aborts on divergence — a libFuzzer-visible crash. Inputs with a
+// predicate also get two neighbours, that predicate's literal replaced by
+// sampled values (as template instances are made); featurized next to
+// their predecessor, each must get exactly its per-query rows.
 
 #include <cmath>
 #include <cstddef>
@@ -60,6 +63,45 @@ void CheckRows(const std::vector<std::vector<float>>& dense,
   }
 }
 
+void CheckSame(const ds::nn::SparseRows& got, const ds::nn::SparseRows& want,
+               const char* set, const std::string& sql) {
+  if (got.dim != want.dim || got.row_offsets != want.row_offsets ||
+      got.cols != want.cols || got.vals != want.vals) {
+    std::fprintf(stderr,
+                 "neighbour/per-query featurization divergence (%s) for: %s\n",
+                 set, sql.c_str());
+    std::abort();
+  }
+}
+
+// `spec` with predicate `k`'s literal replaced by the value in sampled row
+// `row` of its column; false when that row is NULL or there is no sample.
+bool SampledNeighbour(const Fixture& fx, const ds::workload::QuerySpec& spec,
+                      size_t k, size_t row, ds::workload::QuerySpec* out) {
+  const ds::workload::ColumnPredicate& pred = spec.predicates[k];
+  auto sample = fx.samples.Get(pred.table);
+  if (!sample.ok()) return false;
+  auto column = (*sample)->rows->GetColumn(pred.column);
+  if (!column.ok() || (*column)->size() == 0) return false;
+  const ds::storage::Column& col = **column;
+  row %= col.size();
+  if (col.IsNull(row)) return false;
+  *out = spec;
+  const double v = col.GetNumeric(row);
+  switch (col.type()) {
+    case ds::storage::ColumnType::kInt64:
+      out->predicates[k].literal = static_cast<int64_t>(v);
+      break;
+    case ds::storage::ColumnType::kFloat64:
+      out->predicates[k].literal = v;
+      break;
+    case ds::storage::ColumnType::kCategorical:
+      out->predicates[k].literal = col.dict()->Decode(static_cast<int64_t>(v));
+      break;
+  }
+  return true;
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -83,6 +125,43 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   CheckRows(dense->tables, sparse.tables, "tables", sql);
   CheckRows(dense->joins, sparse.joins, "joins", sql);
   CheckRows(dense->predicates, sparse.predicates, "predicates", sql);
+
+  // Neighbour featurization: spec -> first -> second, each next to its
+  // predecessor with the same scratch, against the per-query path on its
+  // own scratch.
+  if (spec->predicates.empty()) return 0;
+  size_t hash = size;
+  for (size_t i = 0; i < size; ++i) hash = hash * 131 + data[i];
+  const size_t k = hash % spec->predicates.size();
+  static thread_local ds::workload::QuerySpec first, second;
+  if (!SampledNeighbour(*fx, *spec, k, hash / 7, &first) ||
+      !SampledNeighbour(*fx, *spec, k, hash / 7 + 1 + hash % 5, &second)) {
+    return 0;
+  }
+  static thread_local ds::mscn::FeaturizeScratch alone_scratch;
+  static thread_local ds::mscn::SparseQueryFeatures chained[2], alone;
+  const ds::workload::QuerySpec* prev_spec = &*spec;
+  const ds::mscn::SparseQueryFeatures* prev = &sparse;
+  for (int n = 0; n < 2; ++n) {
+    const ds::workload::QuerySpec& next = n == 0 ? first : second;
+    const auto chained_status = fx->space.FeaturizeSparse(
+        next, fx->samples, /*use_bitmaps=*/true, &scratch, &chained[n],
+        prev_spec, prev);
+    const auto alone_status = fx->space.FeaturizeSparse(
+        next, fx->samples, /*use_bitmaps=*/true, &alone_scratch, &alone);
+    if (chained_status.ToString() != alone_status.ToString()) {
+      std::fprintf(stderr, "neighbour status %s vs per-query %s for: %s\n",
+                   chained_status.ToString().c_str(),
+                   alone_status.ToString().c_str(), sql.c_str());
+      std::abort();
+    }
+    if (!alone_status.ok()) return 0;
+    CheckSame(chained[n].tables, alone.tables, "tables", sql);
+    CheckSame(chained[n].joins, alone.joins, "joins", sql);
+    CheckSame(chained[n].predicates, alone.predicates, "predicates", sql);
+    prev_spec = &next;
+    prev = &chained[n];
+  }
   return 0;
 }
 

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "ds/datagen/imdb.h"
 #include "ds/est/sample.h"
 #include "ds/mscn/logger.h"
 #include "ds/mscn/dataset.h"
@@ -14,7 +15,9 @@
 #include "ds/mscn/model.h"
 #include "ds/mscn/trainer.h"
 #include "ds/nn/gradcheck.h"
+#include "ds/sketch/template.h"
 #include "ds/sql/binder.h"
+#include "ds/stress/grammar.h"
 #include "ds/workload/generator.h"
 #include "ds/workload/labeler.h"
 #include "test_util.h"
@@ -46,6 +49,14 @@ class MscnTest : public ::testing::Test {
   est::SampleSet samples_;
   FeatureSpace space_;
 };
+
+void ExpectSameRows(const nn::SparseRows& got, const nn::SparseRows& want,
+                    const std::string& what) {
+  EXPECT_EQ(got.dim, want.dim) << what;
+  EXPECT_EQ(got.row_offsets, want.row_offsets) << what;
+  EXPECT_EQ(got.cols, want.cols) << what;
+  EXPECT_EQ(got.vals, want.vals) << what;
+}
 
 TEST_F(MscnTest, DimensionsAreConsistent) {
   // 3 tables, 2 FK edges, 9 columns total (2 + 3 + 4).
@@ -120,6 +131,126 @@ TEST_F(MscnTest, OutOfSpaceQueryRejected) {
                 "WHERE r.movie_id = m.id");
   auto qf = movie_only.FeaturizeWithSamples(spec, samples_);
   EXPECT_FALSE(qf.ok());
+}
+
+TEST(NeighbourFeaturizeTest, TemplateInstancesMatchPerQueryFeatures) {
+  // The stress grammar's '?' templates over a 500-title IMDb, expanded with
+  // both groupings. Featurized in order next to their predecessor (rows it
+  // shares are copied), every instance must get exactly the rows the
+  // per-query path gives it.
+  datagen::ImdbOptions imdb;
+  imdb.num_titles = 500;
+  auto catalog = datagen::GenerateImdb(imdb).value();
+  const est::SampleSet samples = est::SampleSet::Build(*catalog, 64, 7).value();
+  const FeatureSpace space = FeatureSpace::Create(*catalog, {}, 64).value();
+  stress::GrammarOptions options;
+  options.seed = 20261019;
+  options.spec.max_tables = 3;
+  options.spec.min_predicates = 1;
+  options.spec.max_predicates = 3;
+  options.placeholder_fraction = 1.0;
+  options.malformed_fraction = 0.0;
+  auto grammar = stress::StressGrammar::Create(catalog.get(), options).value();
+
+  mscn::FeaturizeScratch chained, alone;
+  mscn::SparseQueryFeatures reference;
+  std::vector<mscn::SparseQueryFeatures> features;
+  size_t templates = 0, instances = 0, copied = 0;
+  for (int attempt = 0; attempt < 2000 && templates < 80; ++attempt) {
+    const stress::GeneratedQuery q = grammar.NextQuery();
+    if (q.kind != stress::QueryKind::kPlaceholder) continue;
+    auto bound = sql::Bind(*catalog, sql::Parse(q.sql).value());
+    ASSERT_TRUE(bound.ok()) << q.sql << ": " << bound.status().ToString();
+    ASSERT_TRUE(bound->placeholder.has_value()) << q.sql;
+    for (auto grouping : {sketch::TemplateOptions::Grouping::kDistinct,
+                          sketch::TemplateOptions::Grouping::kBuckets}) {
+      sketch::TemplateOptions topts;
+      topts.grouping = grouping;
+      auto expanded = sketch::InstantiateTemplate(*bound, samples, topts);
+      if (!expanded.ok()) continue;  // buckets need '=' on a numeric column
+      ++templates;
+      features.assign(expanded->size(), {});
+      for (size_t i = 0; i < expanded->size(); ++i) {
+        const workload::QuerySpec& spec = (*expanded)[i].spec;
+        const workload::QuerySpec* prev =
+            i > 0 ? &(*expanded)[i - 1].spec : nullptr;
+        ASSERT_TRUE(space
+                        .FeaturizeSparse(spec, samples, /*use_bitmaps=*/true,
+                                         &chained, &features[i], prev,
+                                         i > 0 ? &features[i - 1] : nullptr)
+                        .ok())
+            << spec.ToCompactString();
+        ASSERT_TRUE(space
+                        .FeaturizeSparse(spec, samples, /*use_bitmaps=*/true,
+                                         &alone, &reference)
+                        .ok());
+        const std::string what = q.sql + " instance " + std::to_string(i);
+        ExpectSameRows(features[i].tables, reference.tables, what);
+        ExpectSameRows(features[i].joins, reference.joins, what);
+        ExpectSameRows(features[i].predicates, reference.predicates, what);
+        ++instances;
+        // The template's own predicates keep their literals, so every
+        // instance after the first copies at least their rows.
+        copied += prev != nullptr && !bound->spec.predicates.empty();
+      }
+    }
+  }
+  EXPECT_GE(templates, 80u);
+  EXPECT_GT(copied, instances / 2) << instances << " instances";
+}
+
+TEST_F(MscnTest, NeighbourRowsMatchPerQueryRows) {
+  // A scripted batch over every movie row: literals change on one table or
+  // both, a neighbour repeats, an operator changes, a spec fails and the
+  // tables reorder. Each spec is featurized next to its predecessor when
+  // that one featurized (as EstimateManyInto does) and must get the
+  // per-query rows.
+  const est::SampleSet samples = est::SampleSet::Build(*catalog_, 40, 3).value();
+  const FeatureSpace space = FeatureSpace::Create(*catalog_, {}, 40).value();
+  auto movie = [&](int64_t genre, CompareOp year_op, int64_t year) {
+    workload::QuerySpec spec = Q("SELECT COUNT(*) FROM movie m, rating r "
+                                 "WHERE r.movie_id = m.id AND r.votes < 70");
+    spec.predicates.push_back({"movie", "genre_id", CompareOp::kEq, genre});
+    spec.predicates.push_back({"movie", "year", year_op, year});
+    return spec;
+  };
+  std::vector<workload::QuerySpec> specs = {
+      movie(2, CompareOp::kGt, 2001),
+      movie(2, CompareOp::kGt, 2003),  // year changes: rating's row copied
+      movie(3, CompareOp::kGt, 2003),  // genre changes instead
+      movie(4, CompareOp::kGt, 2007),  // both change
+      movie(4, CompareOp::kGt, 2007),  // repeat: every row copied
+      movie(4, CompareOp::kLt, 2007),  // only an operator changes
+  };
+  workload::QuerySpec bad = specs.back();
+  bad.predicates.back().literal = std::string("oops");
+  specs.push_back(bad);  // fails: the next spec has no predecessor
+  specs.push_back(movie(1, CompareOp::kGt, 2002));
+  workload::QuerySpec reordered = specs.back();
+  std::swap(reordered.tables[0], reordered.tables[1]);
+  specs.push_back(reordered);  // same predicates, tables at new positions
+  specs.push_back(reordered);
+  specs.back().predicates[0].literal = int64_t{40};  // rating's literal
+
+  mscn::FeaturizeScratch chained, alone;
+  std::vector<mscn::SparseQueryFeatures> features(specs.size());
+  mscn::SparseQueryFeatures reference;
+  const workload::QuerySpec* prev = nullptr;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const Status got = space.FeaturizeSparse(
+        specs[i], samples, /*use_bitmaps=*/true, &chained, &features[i], prev,
+        prev != nullptr ? &features[i - 1] : nullptr);
+    const Status want = space.FeaturizeSparse(
+        specs[i], samples, /*use_bitmaps=*/true, &alone, &reference);
+    ASSERT_EQ(got.ToString(), want.ToString()) << i;
+    prev = got.ok() ? &specs[i] : nullptr;
+    if (!got.ok()) continue;
+    const std::string what = "spec " + std::to_string(i);
+    ExpectSameRows(features[i].tables, reference.tables, what);
+    ExpectSameRows(features[i].joins, reference.joins, what);
+    ExpectSameRows(features[i].predicates, reference.predicates, what);
+  }
+  EXPECT_EQ(prev, &specs.back());
 }
 
 TEST_F(MscnTest, FeatureSpaceSerializationRoundTrip) {

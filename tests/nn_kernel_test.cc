@@ -17,6 +17,7 @@
 #include "ds/nn/tensor.h"
 #include "ds/nn/workspace.h"
 #include "ds/sketch/deep_sketch.h"
+#include "ds/sketch/template.h"
 #include "ds/sql/binder.h"
 #include "ds/util/alloc.h"
 #include "ds/util/contract.h"
@@ -397,7 +398,8 @@ TEST_F(KernelSketchTest, BatchedEstimatesMatchOneAtATime) {
     auto single = sketch_->EstimateMany(one);
     ASSERT_TRUE(single[0].ok());
     EXPECT_DOUBLE_EQ(*batched[i], *single[0]) << i;
-    // And identical to the dense single-query path.
+    // EstimateCardinality is that one-element batch. (The dense reference,
+    // MakeBatch + MscnModel::Infer, is ModelInferSparseMatchesInfer's.)
     EXPECT_DOUBLE_EQ(*batched[i],
                      sketch_->EstimateCardinality(specs[i]).value())
         << i;
@@ -416,10 +418,23 @@ TEST_F(KernelSketchTest, SteadyStateEstimationAllocatesNothing) {
         "SELECT COUNT(*) FROM movie WHERE year > 2001"}) {
     specs.push_back(sql::ParseAndBind(*catalog_, sql).value());
   }
+  // A template batch: consecutive instances reuse their predecessor's rows.
+  const sql::BoundQuery bound =
+      sketch_->BindSql("SELECT COUNT(*) FROM movie m, rating r "
+                       "WHERE r.movie_id = m.id AND r.score > 1.5 "
+                       "AND r.votes < ?")
+          .value();
+  auto expanded =
+      sketch::InstantiateTemplate(bound, sketch_->samples()).value();
+  std::vector<workload::QuerySpec> instances;
+  for (auto& inst : expanded) instances.push_back(std::move(inst.spec));
+  ASSERT_GE(instances.size(), 3u);
   std::vector<Result<double>> out;
   // Warm the thread-local scratch and the output vector.
-  sketch_->EstimateManyInto(specs, &out);
-  sketch_->EstimateManyInto(specs, &out);
+  for (int i = 0; i < 2; ++i) {
+    sketch_->EstimateManyInto(specs, &out);
+    sketch_->EstimateManyInto(instances, &out);
+  }
   const uint64_t before = util::AllocCount();
   {
     // Arm runtime DS_NO_ALLOC enforcement so the guarded regions inside the
@@ -428,7 +443,10 @@ TEST_F(KernelSketchTest, SteadyStateEstimationAllocatesNothing) {
     // of an abort.
     util::ScopedContractPolicy policy(util::ContractPolicy::kThrow);
     const bool prev = util::SetNoAllocEnforcement(true);
-    for (int i = 0; i < 10; ++i) sketch_->EstimateManyInto(specs, &out);
+    for (int i = 0; i < 10; ++i) {
+      sketch_->EstimateManyInto(specs, &out);
+      sketch_->EstimateManyInto(instances, &out);
+    }
     util::SetNoAllocEnforcement(prev);
   }
   EXPECT_EQ(util::AllocCount() - before, 0u)

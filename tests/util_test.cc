@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <new>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <utility>
 
 #if defined(__linux__) || defined(__APPLE__)
@@ -14,6 +17,7 @@
 #include <unistd.h>
 #endif
 
+#include "ds/util/alloc.h"
 #include "ds/util/cpu_topology.h"
 #include "ds/util/fd.h"
 #include "ds/util/random.h"
@@ -471,6 +475,39 @@ TEST(CpuTopologyTest, PinToDetectedCpuSucceeds) {
   // Pinning to a CPU from the detected mask must succeed (or be a no-op
   // on platforms without affinity support — also OK by contract).
   EXPECT_TRUE(util::PinCurrentThreadToCpu(topo.cpus[0].cpu).ok());
+}
+
+// --- Allocation counting -----------------------------------------------
+
+TEST(AllocCountTest, OtherThreadsDoNotLandInTheCallersCount) {
+  if (!util::AllocCountingAvailable()) {
+    GTEST_SKIP() << "allocation counting disabled under sanitizers";
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> iterations{0};
+  uint64_t other_count = 0;
+  std::thread other([&] {
+    const uint64_t start = util::AllocCount();
+    while (!stop.load(std::memory_order_relaxed)) {
+      // An explicit call: unlike a new-expression it cannot be elided.
+      ::operator delete(::operator new(32));
+      iterations.fetch_add(1, std::memory_order_relaxed);
+    }
+    other_count = util::AllocCount() - start;
+  });
+  while (iterations.load() < 100) std::this_thread::yield();
+  // An allocation-free window on this thread while the other one keeps
+  // allocating: the caller's delta must stay exactly 0.
+  const uint64_t before = util::AllocCount();
+  const uint64_t seen = iterations.load();
+  while (iterations.load() < seen + 1000) {
+  }
+  const uint64_t delta = util::AllocCount() - before;
+  stop.store(true);
+  other.join();
+  EXPECT_EQ(delta, 0u);
+  // The other thread counted its own allocations.
+  EXPECT_GE(other_count, iterations.load());
 }
 
 }  // namespace
