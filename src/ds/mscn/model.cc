@@ -92,30 +92,6 @@ nn::Tensor MscnModel::Forward(const Batch& batch) {
   return out_sigmoid_.Forward(out_mlp_.Forward(concat));
 }
 
-nn::Tensor MscnModel::Infer(const Batch& batch) const {
-  const size_t h = config_.hidden_units;
-  const size_t b = batch.batch_size();
-
-  nn::Tensor t = nn::MaskedMean::Pool(table_mlp_.Infer(batch.tables),
-                                      batch.table_mask);
-  nn::Tensor j =
-      nn::MaskedMean::Pool(join_mlp_.Infer(batch.joins), batch.join_mask);
-  nn::Tensor p = nn::MaskedMean::Pool(pred_mlp_.Infer(batch.predicates),
-                                      batch.predicate_mask);
-
-  nn::Tensor concat({b, 3 * h});
-  for (size_t i = 0; i < b; ++i) {
-    float* row = concat.data() + i * 3 * h;
-    std::copy(t.data() + i * h, t.data() + (i + 1) * h, row);
-    std::copy(j.data() + i * h, j.data() + (i + 1) * h, row + h);
-    std::copy(p.data() + i * h, p.data() + (i + 1) * h, row + 2 * h);
-  }
-
-  nn::Tensor y = out_mlp_.Infer(concat);
-  nn::Sigmoid::ApplyInPlace(&y);
-  return y;
-}
-
 const nn::Tensor* MscnModel::InferTail(const nn::Tensor& t,
                                        const nn::Tensor& j,
                                        const nn::Tensor& p,

@@ -49,22 +49,20 @@ class MscnModel {
   /// parameters. Must follow a Forward on the same batch.
   void Backward(const nn::Tensor& dy);
 
-  /// Inference-only forward: identical outputs to Forward but touches no
-  /// mutable state, so concurrent calls on a shared model are safe once
-  /// training is done. This is the serving hot path (ds::serve).
-  nn::Tensor Infer(const Batch& batch) const;
-
-  /// Workspace-backed inference through the fused kernels. Bit-for-bit
-  /// identical to Infer; all intermediates live in `ws`, so a warm workspace
-  /// makes the pass allocation-free. The returned tensor points into `ws`
-  /// and is valid until ws->Reset(). One workspace per thread.
+  /// Inference-only forward over a padded batch through the fused kernels:
+  /// Forward's outputs, but touches no mutable state, so concurrent calls
+  /// on a shared model are safe once training is done. All intermediates
+  /// live in `ws`, so a warm workspace makes the pass allocation-free. The
+  /// returned tensor points into `ws` and is valid until ws->Reset(). One
+  /// workspace per thread. The dense reference the parity tests hold
+  /// InferSparse to.
   const nn::Tensor* InferInto(const Batch& batch, nn::Workspace* ws) const;
 
   /// Same, with CSR feature rows feeding the first layer of each set-MLP
-  /// (the serving path: featurized one-hot rows are overwhelmingly zero).
-  /// Each set-MLP runs on the batch's packed rows only — no padding, and a
-  /// repeated row once — and pools through the element -> row map; the
-  /// result is bit-for-bit Infer's on the padded equivalent.
+  /// (the serving hot path: featurized one-hot rows are overwhelmingly
+  /// zero). Each set-MLP runs on the batch's packed rows only — no padding,
+  /// and a repeated row once — and pools through the element -> row map;
+  /// the result is bit-for-bit InferInto's on the padded equivalent.
   const nn::Tensor* InferSparse(const SparseBatch& batch,
                                 nn::Workspace* ws) const;
 

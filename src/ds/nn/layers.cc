@@ -27,16 +27,6 @@ Tensor Linear::Forward(const Tensor& x) {
   return y;
 }
 
-Tensor Linear::Infer(const Tensor& x) const {
-  DS_CHECK_EQ(x.rank(), 2u);
-  // Via InferInto so the single-query and batched paths read the same
-  // (possibly packed) weights — estimates must not depend on which API
-  // served them.
-  Tensor y;
-  InferInto(x, /*fuse_relu=*/false, &y);
-  return y;
-}
-
 void Linear::InferInto(const Tensor& x, bool fuse_relu, Tensor* y) const {
   if (packed_) {
     LinearBiasActPackedInto(x, *packed_, bias_.value, fuse_relu, y);
@@ -172,16 +162,6 @@ Tensor Mlp::Forward(const Tensor& x) {
   for (size_t i = 1; i < layers_.size(); ++i) {
     h = layers_[i].Forward(h);
     if (i < relus_.size()) h = relus_[i].Forward(std::move(h));
-  }
-  return h;
-}
-
-Tensor Mlp::Infer(const Tensor& x) const {
-  Tensor h = layers_[0].Infer(x);
-  if (!relus_.empty()) ReLU::ApplyInPlace(&h);
-  for (size_t i = 1; i < layers_.size(); ++i) {
-    h = layers_[i].Infer(h);
-    if (i < relus_.size()) ReLU::ApplyInPlace(&h);
   }
   return h;
 }

@@ -6,12 +6,12 @@
 // model flattens set dimensions into the batch dimension before calling
 // into them.
 //
-// Every layer additionally provides a const `Infer` path that computes the
-// same outputs without touching the backward caches. Inference through
-// `Infer` reads only the (immutable after training) weights, so any number
-// of threads may run it on a shared model concurrently — the property the
-// serving layer (ds::serve) relies on. `Forward` remains the training path
-// and is not thread-safe.
+// Linear and Mlp additionally provide const `InferInto`/`InferSparseInto`
+// paths that compute Forward's outputs into caller-owned tensors without
+// touching the backward caches. They read only the (immutable after
+// training) weights, so any number of threads may run them on a shared
+// model concurrently — the property the serving layer (ds::serve) relies
+// on. `Forward` remains the training path and is not thread-safe.
 
 #ifndef DS_NN_LAYERS_H_
 #define DS_NN_LAYERS_H_
@@ -51,19 +51,17 @@ class Linear {
   /// Returns dL/dx; accumulates dL/dW and dL/db. Must follow a Forward.
   Tensor Backward(const Tensor& dy);
 
-  /// Forward without caching: const, safe to call concurrently.
-  Tensor Infer(const Tensor& x) const;
-
   /// Fused allocation-free inference: *y = x W + b, then ReLU when
   /// `fuse_relu`. `y` is resized in place (zero-allocation once warm) and
-  /// must not alias `x`. Bit-for-bit identical to Infer (+ ApplyInPlace).
+  /// must not alias `x`. Const, safe to call concurrently; bit-for-bit
+  /// Forward (+ ReLU) while unpacked.
   void InferInto(const Tensor& x, bool fuse_relu, Tensor* y) const;
 
   /// Same, with the input in CSR form (the featurized one-hot rows).
   void InferSparseInto(const SparseRows& x, bool fuse_relu, Tensor* y) const;
 
   /// Builds (kInt8/kFp16) or clears (kFp32) the packed inference copy of
-  /// the weights; all Infer* paths route through it once set, while
+  /// the weights; both Infer*Into paths route through it once set, while
   /// Forward/Backward keep reading the fp32 parameters. Pack after
   /// training: optimizer steps do not refresh the packed copy.
   void Pack(QuantMode mode);
@@ -135,13 +133,11 @@ class Mlp {
   void Initialize(util::Pcg32* rng);
   Tensor Forward(const Tensor& x);
   Tensor Backward(const Tensor& dy);
-  /// Forward without caching: const, safe to call concurrently.
-  Tensor Infer(const Tensor& x) const;
 
   /// Workspace-backed inference through the fused kernels: acquires two
   /// ping-pong slots from `ws` and returns a pointer to the one holding the
-  /// output (valid until ws->Reset()). Bit-for-bit identical to Infer.
-  /// Concurrent calls are safe with distinct workspaces.
+  /// output (valid until ws->Reset()). Bit-for-bit identical to Forward
+  /// while unpacked. Concurrent calls are safe with distinct workspaces.
   Tensor* InferInto(const Tensor& x, Workspace* ws) const;
 
   /// Same, feeding the first layer from CSR rows (the MSCN's sparse

@@ -3,8 +3,6 @@
 #include <cstdint>
 #include <sstream>
 
-#include "ds/util/arena.h"
-
 namespace ds::nn {
 
 void FloatBuffer::Grow(size_t n) {
@@ -13,19 +11,13 @@ void FloatBuffer::Grow(size_t n) {
   size_t cap = cap_ < 16 ? 16 : cap_;
   while (cap < n) cap *= 2;
 
-  float* fresh = nullptr;
-  void* fresh_base = nullptr;
-  if (arena_ != nullptr) {
-    fresh = static_cast<float*>(arena_->Allocate(cap * sizeof(float), 64));
-  } else {
-    // Over-allocate through the counted plain operator new (the aligned
-    // overloads bypass util/alloc's counters) and align by hand.
-    fresh_base = ::operator new(cap * sizeof(float) + 64);
-    fresh = reinterpret_cast<float*>(
-        (reinterpret_cast<uintptr_t>(fresh_base) + 63) & ~uintptr_t{63});
-  }
+  // Over-allocate through the counted plain operator new (the aligned
+  // overloads bypass util/alloc's counters) and align by hand.
+  void* fresh_base = ::operator new(cap * sizeof(float) + 64);
+  float* fresh = reinterpret_cast<float*>(
+      (reinterpret_cast<uintptr_t>(fresh_base) + 63) & ~uintptr_t{63});
   if (size_ > 0) std::memcpy(fresh, data_, size_ * sizeof(float));
-  FreeSelf();  // old arena blocks stay in the arena; old heap blocks free
+  FreeSelf();
   data_ = fresh;
   heap_base_ = fresh_base;
   cap_ = cap;

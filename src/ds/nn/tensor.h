@@ -20,20 +20,12 @@
 #include "ds/util/contract.h"
 #include "ds/util/logging.h"
 
-namespace ds::util {
-class Arena;
-}  // namespace ds::util
-
 namespace ds::nn {
 
-/// The float storage behind Tensor: a 64-byte-aligned growable buffer with
-/// an optional util::Arena backing. Unbound buffers allocate from the heap
-/// (through the counted global operator new); once BindArena() points a
-/// buffer at an arena, growth bump-allocates from it instead — the
-/// workspace path, where buffers warm up once on the worker's (pinned,
-/// first-touched) arena and then never allocate again. Arena-backed blocks
-/// are never individually freed (the arena reclaims them wholesale), which
-/// is safe precisely because workspace buffers only ever grow.
+/// The float storage behind Tensor: a 64-byte-aligned growable buffer on
+/// the heap, allocated through the counted global operator new (so
+/// util::AllocCount sees it). Workspace slots warm up once to the largest
+/// batch a thread has seen and then never allocate again.
 ///
 /// Grow-only semantics match std::vector: resize() preserves existing
 /// elements and zero-fills the extension; capacity never shrinks.
@@ -44,7 +36,7 @@ class FloatBuffer {
 
   FloatBuffer(const FloatBuffer& o) { assign(o.data_, o.size_); }
   FloatBuffer& operator=(const FloatBuffer& o) {
-    if (this != &o) assign(o.data_, o.size_);  // keeps this buffer's arena
+    if (this != &o) assign(o.data_, o.size_);
     return *this;
   }
   FloatBuffer(FloatBuffer&& o) noexcept { MoveFrom(&o); }
@@ -87,16 +79,9 @@ class FloatBuffer {
     if (n > 0) std::memmove(data_, p, n * sizeof(float));
   }
 
-  /// Future growth allocates from `arena` (nullptr unbinds — back to heap).
-  /// The current block stays where it is; Tensor buffers only grow, so the
-  /// next growth migrates the contents onto the arena.
-  void BindArena(util::Arena* arena) { arena_ = arena; }
-  util::Arena* arena() const { return arena_; }
-
  private:
-  void Grow(size_t n);   // tensor.cc (needs the Arena definition)
+  void Grow(size_t n);  // tensor.cc
   void FreeSelf() {
-    // heap_base_ is null for arena blocks: the arena owns them.
     if (heap_base_ != nullptr) ::operator delete(heap_base_);
     heap_base_ = nullptr;
   }
@@ -105,14 +90,12 @@ class FloatBuffer {
     heap_base_ = std::exchange(o->heap_base_, nullptr);
     size_ = std::exchange(o->size_, 0);
     cap_ = std::exchange(o->cap_, 0);
-    arena_ = std::exchange(o->arena_, nullptr);
   }
 
   float* data_ = nullptr;
-  void* heap_base_ = nullptr;  // unaligned heap block to free; null if arena
+  void* heap_base_ = nullptr;  // unaligned block behind data_, to free
   size_t size_ = 0;
   size_t cap_ = 0;
-  util::Arena* arena_ = nullptr;
 };
 
 class Tensor {
@@ -151,11 +134,6 @@ class Tensor {
   const float* data() const { return data_.data(); }
   FloatBuffer& vec() { return data_; }
   const FloatBuffer& vec() const { return data_; }
-
-  /// Routes this tensor's future buffer growth through `arena` (see
-  /// FloatBuffer::BindArena). Workspace calls this on its slots; model
-  /// parameters stay heap-backed.
-  void BindArena(util::Arena* arena) { data_.BindArena(arena); }
 
   float& at(size_t i) { return data_[i]; }
   float at(size_t i) const { return data_[i]; }

@@ -1,9 +1,9 @@
-// A per-thread tensor arena for allocation-free inference.
+// A per-thread pool of tensors for allocation-free inference.
 //
-// Workspace hands out Tensor (and SparseRows) slots in acquisition order and
-// keeps their buffers alive across Reset(), so a steady-state inference
-// batch — one Reset() + a fixed sequence of Acquire() calls, each resized
-// via Tensor::ResizeInPlace — touches the heap only while the workspace is
+// Workspace hands out Tensor slots in acquisition order and keeps their
+// buffers alive across Reset(), so a steady-state inference batch — one
+// Reset() + a fixed sequence of Acquire() calls, each resized via
+// Tensor::ResizeInPlace — touches the heap only while the workspace is
 // still warming up to the largest batch it has seen.
 //
 // Ownership rules (see DESIGN.md "Kernel layer"):
@@ -24,11 +24,8 @@
 
 #include <cstddef>
 #include <deque>
-#include <memory>
 
-#include "ds/nn/kernels.h"
 #include "ds/nn/tensor.h"
-#include "ds/util/arena.h"
 
 namespace ds::nn {
 
@@ -38,66 +35,29 @@ class Workspace {
   Workspace(const Workspace&) = delete;
   Workspace& operator=(const Workspace&) = delete;
 
-  /// Backs tensor-slot growth with a huge-page bump arena (see
-  /// ds/util/arena.h). Call on the owning thread — ideally right after it
-  /// was pinned (serve worker loops), so the prefault lands the pages on
-  /// that worker's NUMA node via first-touch. Slots that already grew heap
-  /// buffers keep them until their next growth. Idempotent.
-  void EnableArena(const util::ArenaOptions& options = {}) {
-    if (arena_) return;
-    arena_ = std::make_unique<util::Arena>(options);
-    for (Tensor& t : tensors_) t.BindArena(arena_.get());
-  }
-
-  /// Null until EnableArena.
-  const util::Arena* arena() const { return arena_.get(); }
-
   /// Next tensor slot. Shape/contents are whatever the previous user left;
   /// callers size it with ResizeInPlace and overwrite.
   Tensor* Acquire() {
-    if (next_tensor_ == tensors_.size()) {
-      tensors_.emplace_back();
-      if (arena_) tensors_.back().BindArena(arena_.get());
-    }
+    if (next_tensor_ == tensors_.size()) tensors_.emplace_back();
     return &tensors_[next_tensor_++];
   }
 
-  /// Next CSR scratch slot (callers Clear() it, which keeps capacity).
-  SparseRows* AcquireSparse() {
-    if (next_sparse_ == sparse_.size()) sparse_.emplace_back();
-    return &sparse_[next_sparse_++];
-  }
-
   /// Logically releases every slot (buffers are retained for reuse).
-  void Reset() {
-    next_tensor_ = 0;
-    next_sparse_ = 0;
-  }
-
-  size_t tensor_slots() const { return tensors_.size(); }
-  size_t sparse_slots() const { return sparse_.size(); }
+  void Reset() { next_tensor_ = 0; }
 
   /// Total bytes of backing storage currently reserved across all slots.
   /// A stable value across batches means the workspace has stopped
-  /// allocating — the serving layer exports this as a gauge.
+  /// allocating.
   size_t capacity_bytes() const {
     size_t bytes = 0;
     for (const Tensor& t : tensors_) bytes += t.capacity_bytes();
-    for (const SparseRows& s : sparse_) {
-      bytes += s.row_offsets.capacity() * sizeof(uint32_t) +
-               s.cols.capacity() * sizeof(uint32_t) +
-               s.vals.capacity() * sizeof(float);
-    }
     return bytes;
   }
 
  private:
-  // Deques keep slot addresses stable while the pool grows.
-  std::unique_ptr<util::Arena> arena_;  // null until EnableArena
+  // A deque keeps slot addresses stable while the pool grows.
   std::deque<Tensor> tensors_;
-  std::deque<SparseRows> sparse_;
   size_t next_tensor_ = 0;
-  size_t next_sparse_ = 0;
 };
 
 }  // namespace ds::nn

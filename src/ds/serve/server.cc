@@ -100,8 +100,8 @@ SketchServer::SketchServer(SketchRegistry* registry, ServerOptions options)
     Shard* shard = shards_[i % shards_.size()].get();
     const int cpu = options_.pin_workers ? worker_cpus[i] : -1;
     workers_.emplace_back([this, shard, cpu] {
-      // Pin before the first batch: the thread-local estimate scratch (and
-      // its arena pages) is first-touched during the first ServeBatch, and
+      // Pin before the first batch: the thread-local estimate scratch is
+      // allocated and first-touched by this thread's batches, and
       // first-touch decides its NUMA placement. Pinning is best-effort.
       if (cpu >= 0) (void)util::PinCurrentThreadToCpu(cpu);
       WorkerLoop(shard);

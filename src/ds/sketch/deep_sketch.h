@@ -114,8 +114,8 @@ class DeepSketch final : public est::CardinalityEstimator {
   /// outside the sketch returns InvalidArgument; exec::Optimizer estimates
   /// every subplan through this call, so planning such a query with a Deep
   /// Sketch as its estimator fails instead of costing the subplan at 1. A
-  /// thread's first call sets up its estimation scratch (with the 8 MiB
-  /// arena, prefaulted unless DS_ARENA=0), as its first batch does.
+  /// thread's first call sets up its estimation scratch on the heap, sized
+  /// to the one query, as its first batch does.
   Result<double> EstimateCardinality(
       const workload::QuerySpec& spec) const override;
   std::string name() const override { return "Deep Sketch"; }

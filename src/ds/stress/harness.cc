@@ -13,6 +13,8 @@
 #include <utility>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "ds/datagen/imdb.h"
 #include "ds/net/client.h"
 #include "ds/net/server.h"
@@ -78,7 +80,7 @@ bool MonotoneHolds(double base, double tightened) {
 }  // namespace
 
 std::string StressReport::ToString() const {
-  char buf[640];
+  char buf[704];
   std::snprintf(
       buf, sizeof(buf),
       "ds_stress seed=%llu: %s\n"
@@ -87,7 +89,8 @@ std::string StressReport::ToString() const {
       "torn_loads=%llu\n"
       "  pool: monotone=%llu dropped=%llu\n"
       "  server: submitted=%llu completed=%llu failed=%llu rejected=%llu\n"
-      "  oracles: checks=%llu violations=%llu\n",
+      "  oracles: checks=%llu violations=%llu\n"
+      "  process: peak_rss=%.1f MiB\n",
       static_cast<unsigned long long>(seed), Passed() ? "PASS" : "FAIL",
       static_cast<unsigned long long>(submitted),
       static_cast<unsigned long long>(ok),
@@ -104,7 +107,8 @@ std::string StressReport::ToString() const {
       static_cast<unsigned long long>(server_failed),
       static_cast<unsigned long long>(server_rejected),
       static_cast<unsigned long long>(oracle_checks),
-      static_cast<unsigned long long>(oracle_violations));
+      static_cast<unsigned long long>(oracle_violations),
+      static_cast<double>(peak_rss_kib) / 1024.0);
   std::string out = buf;
   for (const auto& v : violations) {
     out += "  [" + v.family + "] " + v.message + "\n";
@@ -693,6 +697,10 @@ Result<StressReport> RunStress(const StressOptions& options) {
   report.server_completed = m.completed;
   report.server_failed = m.failed;
   report.server_rejected = m.rejected;
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) == 0) {
+    report.peak_rss_kib = static_cast<uint64_t>(usage.ru_maxrss);  // KiB
+  }
   if (options.verbose) {
     std::fprintf(stderr, "%s", report.ToString().c_str());
   }

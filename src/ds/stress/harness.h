@@ -105,6 +105,10 @@ struct StressReport {
   uint64_t server_failed = 0;
   uint64_t server_rejected = 0;
 
+  // Peak resident set of the whole process so far (getrusage ru_maxrss),
+  // corpus training included when this run trained it.
+  uint64_t peak_rss_kib = 0;
+
   bool Passed() const { return oracle_violations == 0; }
   std::string ToString() const;
 };

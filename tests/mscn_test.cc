@@ -341,10 +341,11 @@ TEST_F(MscnTest, ModelInferMatchesForward) {
   ds.labels = {3, 40};
   Batch batch = MakeBatch(ds, {0, 1}, space_);
   nn::Tensor trained = model.Forward(batch);
-  nn::Tensor inferred = model.Infer(batch);
-  ASSERT_EQ(inferred.size(), trained.size());
+  nn::Workspace ws;
+  const nn::Tensor* inferred = model.InferInto(batch, &ws);
+  ASSERT_EQ(inferred->size(), trained.size());
   for (size_t i = 0; i < trained.size(); ++i) {
-    EXPECT_FLOAT_EQ(inferred.at(i), trained.at(i)) << i;
+    EXPECT_FLOAT_EQ(inferred->at(i), trained.at(i)) << i;
   }
 }
 

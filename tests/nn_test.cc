@@ -163,14 +163,16 @@ TEST(MlpTest, InferMatchesForward) {
   Tensor x({3, 4});
   for (float& v : x.vec()) v = static_cast<float>(rng.Normal());
   Tensor trained = mlp.Forward(x);
-  Tensor inferred = mlp.Infer(x);
-  ASSERT_EQ(inferred.size(), trained.size());
+  Workspace ws;
+  const Tensor* inferred = mlp.InferInto(x, &ws);
+  ASSERT_EQ(inferred->size(), trained.size());
   for (size_t i = 0; i < trained.size(); ++i) {
-    EXPECT_FLOAT_EQ(inferred.at(i), trained.at(i)) << i;
+    EXPECT_FLOAT_EQ(inferred->at(i), trained.at(i)) << i;
   }
-  // Infer must leave no trace: a Backward after Infer still sees the
+  // InferInto must leave no trace: a Backward after it still sees the
   // activations cached by the last Forward.
-  mlp.Infer(x);
+  ws.Reset();
+  mlp.InferInto(x, &ws);
   mlp.Backward(SumSquaresGrad(trained));
 }
 

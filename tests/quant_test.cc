@@ -1,13 +1,11 @@
 // Tests for weight quantization (ds/nn/quant.h), the packed inference
-// kernels, runtime kernel-tier dispatch, and the huge-page arena fallback —
-// the pieces behind "quantized inference with runtime SIMD dispatch".
+// kernels and runtime kernel-tier dispatch — the pieces behind "quantized
+// inference with runtime SIMD dispatch".
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -15,8 +13,6 @@
 #include "ds/nn/layers.h"
 #include "ds/nn/quant.h"
 #include "ds/nn/tensor.h"
-#include "ds/nn/workspace.h"
-#include "ds/util/arena.h"
 #include "ds/util/random.h"
 #include "ds/util/serialize.h"
 #include "test_util.h"
@@ -257,10 +253,11 @@ TEST(QuantTest, LinearPackRoutesInferenceAndUnpacks) {
   nn::Linear layer("l", 24, 8);
   layer.Initialize(&rng);
   Tensor x = RandomTensor({5, 24}, &rng);
-  Tensor fp32 = layer.Infer(x);
+  Tensor fp32, int8, back;
+  layer.InferInto(x, /*fuse_relu=*/false, &fp32);
   layer.Pack(QuantMode::kInt8);
   EXPECT_EQ(layer.quant_mode(), QuantMode::kInt8);
-  Tensor int8 = layer.Infer(x);
+  layer.InferInto(x, /*fuse_relu=*/false, &int8);
   ASSERT_TRUE(fp32.SameShape(int8));
   for (size_t i = 0; i < fp32.size(); ++i) {
     // Weight rounding moves outputs a little, but quantization must stay
@@ -270,7 +267,7 @@ TEST(QuantTest, LinearPackRoutesInferenceAndUnpacks) {
   }
   layer.Pack(QuantMode::kFp32);  // unpack restores the exact fp32 path
   EXPECT_EQ(layer.quant_mode(), QuantMode::kFp32);
-  Tensor back = layer.Infer(x);
+  layer.InferInto(x, /*fuse_relu=*/false, &back);
   for (size_t i = 0; i < fp32.size(); ++i) {
     ASSERT_EQ(fp32.at(i), back.at(i));
   }
@@ -338,79 +335,6 @@ TEST(DispatchTest, UnavailableTierIsRejected) {
     EXPECT_EQ(nn::SetKernelTier(tier), available) << nn::KernelTierName(tier);
   }
   ASSERT_TRUE(nn::SetKernelTier(entry));
-}
-
-// ---- Arena -----------------------------------------------------------------
-
-TEST(ArenaTest, AllocationsComeFromArenaAndAreAligned) {
-  util::Arena arena;
-  void* a = arena.Allocate(100);
-  void* b = arena.Allocate(1000, 64);
-  EXPECT_TRUE(arena.Contains(a));
-  EXPECT_TRUE(arena.Contains(b));
-  EXPECT_NE(a, b);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % 64, 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % 64, 0u);
-  EXPECT_GE(arena.stats().reserved_bytes, arena.stats().allocated_bytes);
-}
-
-TEST(ArenaTest, HeapFallbackStillServesAllocations) {
-  // force_heap simulates an environment where mmap is unavailable: the
-  // arena must degrade to operator new chunks, not fail.
-  util::ArenaOptions options;
-  options.force_heap = true;
-  util::Arena arena(options);
-  void* p = arena.Allocate(4096);
-  ASSERT_NE(p, nullptr);
-  EXPECT_TRUE(arena.Contains(p));
-  // Touch the memory: a bogus pointer would crash here.
-  std::memset(p, 0xab, 4096);
-  EXPECT_EQ(arena.stats().mmap_chunks, 0u);
-  EXPECT_EQ(arena.stats().huge_page_chunks, 0u);
-  EXPECT_GE(arena.stats().chunks, 1u);
-}
-
-TEST(ArenaTest, OversizedAllocationGetsDedicatedChunk) {
-  util::ArenaOptions options;
-  options.chunk_bytes = 1u << 16;
-  util::Arena arena(options);
-  void* big = arena.Allocate(options.chunk_bytes * 4);
-  EXPECT_TRUE(arena.Contains(big));
-  std::memset(big, 0, options.chunk_bytes * 4);
-}
-
-TEST(ArenaTest, WorkspaceEnableArenaBindsExistingAndFutureSlots) {
-  nn::Workspace ws;
-  Tensor* before = ws.Acquire();
-  before->ResizeInPlace({4, 4});
-  ws.Reset();
-  util::ArenaOptions options;
-  options.force_heap = true;  // deterministic on any kernel
-  ws.EnableArena(options);
-  ASSERT_NE(ws.arena(), nullptr);
-  // Existing slot: rebinding takes effect on its next growth.
-  Tensor* again = ws.Acquire();
-  EXPECT_EQ(again, before);
-  again->ResizeInPlace({64, 64});
-  EXPECT_TRUE(ws.arena()->Contains(again->data()));
-  // New slot acquired after enabling is arena-backed from the start.
-  Tensor* fresh = ws.Acquire();
-  fresh->ResizeInPlace({32, 32});
-  EXPECT_TRUE(ws.arena()->Contains(fresh->data()));
-  // EnableArena is idempotent: same arena object, no rebind churn.
-  const util::Arena* arena = ws.arena();
-  ws.EnableArena(options);
-  EXPECT_EQ(ws.arena(), arena);
-}
-
-TEST(ArenaTest, EnvOptOutIsReadOnce) {
-  // ArenaEnabledByEnv just reflects DS_ARENA; the test only pins the
-  // default (enabled when unset). The value is cached process-wide, so
-  // flipping the env var here must not change it.
-  const bool first = util::ArenaEnabledByEnv();
-  setenv("DS_ARENA", first ? "0" : "1", 1);
-  EXPECT_EQ(util::ArenaEnabledByEnv(), first);
-  unsetenv("DS_ARENA");
 }
 
 }  // namespace

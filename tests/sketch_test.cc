@@ -7,9 +7,12 @@
 #include <bit>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <span>
 #include <thread>
+
+#include <unistd.h>
 
 #include "ds/est/truth.h"
 #include "ds/sketch/deep_sketch.h"
@@ -261,6 +264,43 @@ TEST_F(SketchTest, WarmEstimateSqlAllocatesNothing) {
   }
   EXPECT_EQ(util::AllocCount() - before, 0u)
       << "a warm EstimateSql must not allocate";
+}
+
+// Resident bytes of this process (second field of /proc/self/statm); 0
+// where it cannot be read.
+size_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  size_t size_pages = 0;
+  size_t resident_pages = 0;
+  if (!(statm >> size_pages >> resident_pages)) return 0;
+  return resident_pages * static_cast<size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST_F(SketchTest, FreshThreadEstimateKeepsResidentSetSmall) {
+  if (!util::AllocCountingAvailable()) {
+    GTEST_SKIP() << "sanitizer runtimes own the allocator and shadow memory";
+  }
+  const workload::QuerySpec spec =
+      sql::ParseAndBind(*catalog_,
+                        "SELECT COUNT(*) FROM movie m, rating r "
+                        "WHERE r.movie_id = m.id AND m.year > 2001")
+          .value();
+  size_t before = 0;
+  size_t after = 0;
+  bool ok = false;
+  // A thread's first estimate sets up its whole estimation scratch; for
+  // one small query that is kilobytes, not a prefaulted chunk.
+  std::thread([&] {
+    before = ResidentBytes();
+    ok = sketch_->EstimateCardinality(spec).ok();
+    after = ResidentBytes();
+  }).join();
+  ASSERT_TRUE(ok);
+  if (before == 0) GTEST_SKIP() << "/proc/self/statm unreadable";
+  const size_t grew = after > before ? after - before : 0;
+  EXPECT_LT(grew, size_t{2} << 20)
+      << "one estimate on a fresh thread grew the resident set by " << grew
+      << " bytes";
 }
 
 // ---- Templates --------------------------------------------------------------

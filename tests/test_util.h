@@ -42,7 +42,7 @@ std::vector<std::vector<workload::QuerySpec>> SparsePackingBatches(
     const storage::Catalog& catalog, const est::SampleSet& samples);
 
 /// Asserts that MscnModel::InferSparse over PackSparseBatch reproduces
-/// MscnModel::Infer over the padded MakeBatch of `specs` bit for bit, in
+/// MscnModel::InferInto over the padded MakeBatch of `specs` bit for bit, in
 /// whatever quant mode `model` is packed. Returns the number of set
 /// elements whose row the packer reused from the previous query.
 size_t ExpectInferSparseMatchesInfer(

@@ -21,8 +21,8 @@
 //   quant        weight format sketches are packed to before serving
 //                (default fp32 = serve weights as they arrive); int8/fp16
 //                cut weight traffic 4x/2x on the inference hot loop
-//   pin_workers  pin the batching workers one-per-core so their NUMA-aware
-//                inference arenas first-touch node-local pages (default 0)
+//   pin_workers  pin the batching workers one-per-core so each worker's
+//                inference scratch first-touches node-local pages (default 0)
 //   seconds      exit after S seconds instead of waiting for a signal
 //   trace        sample 1 in N requests for tracing (default 64, 0 = off;
 //                wire-propagated trace contexts always record)
