@@ -20,12 +20,15 @@
 using namespace ds;
 
 int main(int argc, char** argv) {
-  bench::Args args(argc, argv);
-  const size_t titles = args.GetInt("titles", 15'000);
-  const size_t queries = args.GetInt("queries", 8'000);
-  const size_t epochs = args.GetInt("epochs", 25);
-  const size_t samples = args.GetInt("samples", 256);
-  const uint64_t seed = args.GetInt("seed", 42);
+  util::Flags flags(argc, argv);
+  const size_t titles = flags.Count("titles", 15'000);
+  const size_t queries = flags.Count("queries", 8'000);
+  const size_t epochs = flags.Count("epochs", 25);
+  const size_t samples = flags.Count("samples", 256);
+  const uint64_t seed = flags.Count("seed", 42);
+  const std::string out =
+      flags.String("out", "bench_results/ablation_bitmaps.json");
+  bench::ExitOnBadFlags(flags, argv[0]);
 
   std::printf("== Ablation: sample bitmaps on/off ==\n");
   datagen::ImdbOptions imdb;
@@ -81,9 +84,8 @@ int main(int argc, char** argv) {
       {"MSCN with bitmaps", bench::QErrorsOn(*with, workload, truths)},
       {"MSCN without bitmaps", bench::QErrorsOn(*without, workload, truths)}};
   bench::PrintQErrorTable("JOB-light q-errors, same training workload", rows);
-  bench::WriteBenchMetricsJson(
-      args.GetString("out", "bench_results/ablation_bitmaps.json"),
-      "ablation_bitmaps", bench::QErrorMetricRows(rows));
+  bench::WriteBenchMetricsJson(out, "ablation_bitmaps",
+                               bench::QErrorMetricRows(rows));
   std::printf(
       "\nshape: bitmaps improve estimation quality, most visibly in the "
       "tail\n(the model can 'see' which sampled tuples qualify instead of "

@@ -18,11 +18,14 @@
 using namespace ds;
 
 int main(int argc, char** argv) {
-  bench::Args args(argc, argv);
-  const size_t titles = args.GetInt("titles", 15'000);
-  const size_t queries = args.GetInt("queries", 4'000);
-  const size_t epochs = args.GetInt("epochs", 25);
-  const uint64_t seed = args.GetInt("seed", 42);
+  util::Flags flags(argc, argv);
+  const size_t titles = flags.Count("titles", 15'000);
+  const size_t queries = flags.Count("queries", 4'000);
+  const size_t epochs = flags.Count("epochs", 25);
+  const uint64_t seed = flags.Count("seed", 42);
+  const std::string out =
+      flags.String("out", "bench_results/ablation_samples.json");
+  bench::ExitOnBadFlags(flags, argv[0]);
 
   std::printf("== Ablation: materialized sample size ==\n");
   datagen::ImdbOptions imdb;
@@ -67,9 +70,7 @@ int main(int argc, char** argv) {
                      {"max", s.max},
                      {"mean", s.mean}}});
   }
-  bench::WriteBenchMetricsJson(
-      args.GetString("out", "bench_results/ablation_samples.json"),
-      "ablation_samples", rows);
+  bench::WriteBenchMetricsJson(out, "ablation_samples", rows);
   std::printf(
       "\nshape: more samples improve accuracy (sharper bitmaps, fewer "
       "0-tuple\nmisses) at a linearly growing footprint; returns diminish "

@@ -12,32 +12,11 @@
 
 namespace ds::bench {
 
-Args::Args(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg(argv[i]);
-    auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "ignoring argument without '=': %s\n", arg.c_str());
-      continue;
-    }
-    values_[arg.substr(0, eq)] = arg.substr(eq + 1);
+void ExitOnBadFlags(const util::Flags& flags, const char* program) {
+  if (Status st = flags.Finish(); !st.ok()) {
+    std::fprintf(stderr, "%s: %s\n", program, st.ToString().c_str());
+    std::exit(2);
   }
-}
-
-int64_t Args::GetInt(const std::string& name, int64_t def) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtoll(it->second.c_str(), nullptr, 10);
-}
-
-double Args::GetDouble(const std::string& name, double def) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtod(it->second.c_str(), nullptr);
-}
-
-std::string Args::GetString(const std::string& name,
-                            const std::string& def) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? def : it->second;
 }
 
 std::vector<std::string> JobLightTables() {

@@ -1,41 +1,34 @@
 // Shared setup and reporting for the benchmark harnesses (one binary per
-// paper table/figure — see DESIGN.md §3). Each binary accepts simple
-// name=value command line overrides, e.g.:
+// paper table/figure — see DESIGN.md §3). Each binary accepts name=value
+// overrides through util::Flags, e.g.:
 //
 //   ./bench_table1_joblight titles=10000 queries=4000 epochs=20
 //
 // so the full-scale paper configuration and quick smoke runs share code.
+// An unknown key, a malformed or out-of-range value or a positional
+// argument exits 2 before any work.
 
 #ifndef DS_BENCH_BENCH_UTIL_H_
 #define DS_BENCH_BENCH_UTIL_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "ds/est/estimator.h"
 #include "ds/storage/catalog.h"
+#include "ds/util/flags.h"
 #include "ds/util/stats.h"
 #include "ds/workload/query_spec.h"
 
 namespace ds::bench {
 
-/// name=value argument parsing with typed getters.
-class Args {
- public:
-  Args(int argc, char** argv);
-
-  int64_t GetInt(const std::string& name, int64_t def) const;
-  double GetDouble(const std::string& name, double def) const;
-  std::string GetString(const std::string& name,
-                        const std::string& def) const;
-
- private:
-  std::map<std::string, std::string> values_;
-};
+/// Prints `flags`' first error (util::Flags::Finish) as "<program>: ..."
+/// and exits 2. Every bench reads all its flags, then calls this before
+/// any work, so a typo fails before training starts.
+void ExitOnBadFlags(const util::Flags& flags, const char* program);
 
 /// The JOB-light table subset of the IMDb schema.
 std::vector<std::string> JobLightTables();

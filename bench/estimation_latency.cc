@@ -187,12 +187,13 @@ void WriteJsonResults(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
+  benchmark::Initialize(&argc, argv);  // consumes the --benchmark_* flags
+  util::Flags flags(argc, argv);
+  const std::string json_path =
+      flags.String("json", "bench_results/estimation_latency.json");
+  bench::ExitOnBadFlags(flags, argv[0]);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  const std::string json_path =
-      bench::Args(argc, argv)
-          .GetString("json", "bench_results/estimation_latency.json");
   if (!json_path.empty()) WriteJsonResults(json_path);
   return 0;
 }

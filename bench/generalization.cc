@@ -59,13 +59,16 @@ void Collect(const storage::Catalog& db, workload::QueryGenerator* gen,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Args args(argc, argv);
-  const size_t titles = args.GetInt("titles", 15'000);
-  const size_t queries = args.GetInt("queries", 8'000);
-  const size_t epochs = args.GetInt("epochs", 25);
-  const size_t samples = args.GetInt("samples", 256);
-  const size_t eval_queries = args.GetInt("eval_queries", 300);
-  const uint64_t seed = args.GetInt("seed", 42);
+  util::Flags flags(argc, argv);
+  const size_t titles = flags.Count("titles", 15'000);
+  const size_t queries = flags.Count("queries", 8'000);
+  const size_t epochs = flags.Count("epochs", 25);
+  const size_t samples = flags.Count("samples", 256);
+  const size_t eval_queries = flags.Count("eval_queries", 300);
+  const uint64_t seed = flags.Count("seed", 42);
+  const std::string out =
+      flags.String("out", "bench_results/generalization.json");
+  bench::ExitOnBadFlags(flags, argv[0]);
 
   std::printf("== Generalization across predicate-type distributions ==\n");
   datagen::ImdbOptions imdb;
@@ -105,9 +108,8 @@ int main(int argc, char** argv) {
   }
   bench::PrintQErrorTable(
       "Deep Sketch q-errors, trained on uniform {=,<,>} predicates", rows);
-  bench::WriteBenchMetricsJson(
-      args.GetString("out", "bench_results/generalization.json"),
-      "generalization", bench::QErrorMetricRows(rows));
+  bench::WriteBenchMetricsJson(out, "generalization",
+                               bench::QErrorMetricRows(rows));
   std::printf(
       "\nshape: the shifted workloads degrade gracefully relative to the "
       "matched\nvalidation distribution (no catastrophic failure under "

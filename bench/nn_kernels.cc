@@ -127,9 +127,12 @@ bool BitIdentical(const Tensor& a, const Tensor& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Args args(argc, argv);
-  const bool check = args.GetInt("check", 0) != 0;
-  const size_t iters = static_cast<size_t>(args.GetInt("iters", 2000));
+  util::Flags flags(argc, argv);
+  const bool check = flags.Bool("check", false);
+  const size_t iters = flags.Count("iters", 2000);
+  const std::string json_path =
+      flags.String("json", "bench_results/nn_kernels.json");
+  bench::ExitOnBadFlags(flags, argv[0]);
 
   // rows = flattened batch (batch x set elements); in/out match the MSCN
   // set-MLP (sparse featurized input -> hidden) and hidden->hidden layers.
@@ -314,8 +317,6 @@ int main(int argc, char** argv) {
                   ? nn::KernelTierName(nn::ActiveKernelTier())
                   : "scalar");
 
-  const std::string json_path =
-      args.GetString("json", "bench_results/nn_kernels.json");
   if (!json_path.empty()) {
     bench::WriteBenchResultsJson(
         json_path, "nn_kernels", ops,

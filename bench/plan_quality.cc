@@ -28,13 +28,16 @@
 using namespace ds;
 
 int main(int argc, char** argv) {
-  bench::Args args(argc, argv);
-  const size_t titles = args.GetInt("titles", 10'000);
-  const size_t queries = args.GetInt("queries", 8'000);
-  const size_t epochs = args.GetInt("epochs", 25);
-  const size_t samples = args.GetInt("samples", 256);
-  const size_t jl_queries = args.GetInt("jl_queries", 40);
-  const uint64_t seed = args.GetInt("seed", 42);
+  util::Flags flags(argc, argv);
+  const size_t titles = flags.Count("titles", 10'000);
+  const size_t queries = flags.Count("queries", 8'000);
+  const size_t epochs = flags.Count("epochs", 25);
+  const size_t samples = flags.Count("samples", 256);
+  const size_t jl_queries = flags.Count("jl_queries", 40);
+  const uint64_t seed = flags.Count("seed", 42);
+  const std::string out =
+      flags.String("out", "bench_results/plan_quality.json");
+  bench::ExitOnBadFlags(flags, argv[0]);
 
   std::printf("== Plan quality: estimates -> join orders (C_out) ==\n");
   datagen::ImdbOptions imdb;
@@ -112,9 +115,7 @@ int main(int argc, char** argv) {
                      {"mean", util::Mean(r)},
                      {"optimal_rate_pct", optimal_rate}}});
   }
-  bench::WriteBenchMetricsJson(
-      args.GetString("out", "bench_results/plan_quality.json"),
-      "plan_quality", rows);
+  bench::WriteBenchMetricsJson(out, "plan_quality", rows);
   std::printf(
       "\nreading: on JOB-light's star-shaped queries every estimator yields "
       "plans\nwithin a few percent of the true optimum — left-deep ordering "

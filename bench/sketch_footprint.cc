@@ -15,11 +15,14 @@
 using namespace ds;
 
 int main(int argc, char** argv) {
-  bench::Args args(argc, argv);
-  const size_t titles = args.GetInt("titles", 10'000);
-  const size_t queries = args.GetInt("queries", 1'500);
-  const size_t epochs = args.GetInt("epochs", 5);
-  const uint64_t seed = args.GetInt("seed", 42);
+  util::Flags flags(argc, argv);
+  const size_t titles = flags.Count("titles", 10'000);
+  const size_t queries = flags.Count("queries", 1'500);
+  const size_t epochs = flags.Count("epochs", 5);
+  const uint64_t seed = flags.Count("seed", 42);
+  const std::string out =
+      flags.String("out", "bench_results/sketch_footprint.json");
+  bench::ExitOnBadFlags(flags, argv[0]);
 
   std::printf("== Sketch footprint (claim: a few MiBs) ==\n");
   datagen::ImdbOptions imdb;
@@ -59,9 +62,7 @@ int main(int argc, char** argv) {
                        {"compression", compression}}});
     }
   }
-  bench::WriteBenchMetricsJson(
-      args.GetString("out", "bench_results/sketch_footprint.json"),
-      "sketch_footprint", rows);
+  bench::WriteBenchMetricsJson(out, "sketch_footprint", rows);
   std::printf(
       "\nshape: footprints are KiB-to-MiB scale, orders of magnitude below "
       "the\nsource database at real scale; samples are the dominant term "

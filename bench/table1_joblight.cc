@@ -30,14 +30,17 @@
 using namespace ds;
 
 int main(int argc, char** argv) {
-  bench::Args args(argc, argv);
-  const size_t titles = args.GetInt("titles", 20'000);
-  const size_t queries = args.GetInt("queries", 16'000);
-  const size_t epochs = args.GetInt("epochs", 40);
-  const size_t samples = args.GetInt("samples", 256);
-  const size_t hidden = args.GetInt("hidden", 64);
-  const size_t jl_queries = args.GetInt("jl_queries", 70);
-  const uint64_t seed = args.GetInt("seed", 42);
+  util::Flags flags(argc, argv);
+  const size_t titles = flags.Count("titles", 20'000);
+  const size_t queries = flags.Count("queries", 16'000);
+  const size_t epochs = flags.Count("epochs", 40);
+  const size_t samples = flags.Count("samples", 256);
+  const size_t hidden = flags.Count("hidden", 64);
+  const size_t jl_queries = flags.Count("jl_queries", 70);
+  const uint64_t seed = flags.Count("seed", 42);
+  const std::string out =
+      flags.String("out", "bench_results/table1_joblight.json");
+  bench::ExitOnBadFlags(flags, argv[0]);
 
   std::printf("== Table 1: estimation errors on JOB-light ==\n");
   std::printf("config: titles=%zu queries=%zu epochs=%zu samples=%zu "
@@ -95,9 +98,8 @@ int main(int argc, char** argv) {
   bench::PrintQErrorTable("Estimation errors on the JOB-light workload (" +
                               std::to_string(workload->size()) + " queries)",
                           rows);
-  bench::WriteBenchMetricsJson(
-      args.GetString("out", "bench_results/table1_joblight.json"),
-      "table1_joblight", bench::QErrorMetricRows(rows));
+  bench::WriteBenchMetricsJson(out, "table1_joblight",
+                               bench::QErrorMetricRows(rows));
 
   std::printf(
       "\npaper (real IMDb):\n"

@@ -32,14 +32,17 @@
 using namespace ds;
 
 int main(int argc, char** argv) {
-  bench::Args args(argc, argv);
-  const size_t titles = args.GetInt("titles", 15'000);
-  const size_t queries = args.GetInt("queries", 10'000);
-  const size_t epochs = args.GetInt("epochs", 25);
-  const size_t samples = args.GetInt("samples", 512);
-  const size_t buckets = args.GetInt("buckets", 10);
-  std::string keyword = args.GetString("keyword", "");
-  const uint64_t seed = args.GetInt("seed", 42);
+  util::Flags flags(argc, argv);
+  const size_t titles = flags.Count("titles", 15'000);
+  const size_t queries = flags.Count("queries", 10'000);
+  const size_t epochs = flags.Count("epochs", 25);
+  const size_t samples = flags.Count("samples", 512);
+  const size_t buckets = flags.Count("buckets", 10);
+  std::string keyword = flags.String("keyword", "");
+  const uint64_t seed = flags.Count("seed", 42);
+  const std::string out =
+      flags.String("out", "bench_results/template_queries.json");
+  bench::ExitOnBadFlags(flags, argv[0]);
 
   datagen::ImdbOptions imdb;
   imdb.num_titles = titles;
@@ -153,8 +156,7 @@ int main(int argc, char** argv) {
   std::printf("  PostgreSQL  %7.2f / %7.2f\n", util::Mean(q_pg),
               *std::max_element(q_pg.begin(), q_pg.end()));
   bench::WriteBenchMetricsJson(
-      args.GetString("out", "bench_results/template_queries.json"),
-      "template_queries",
+      out, "template_queries",
       {{"Deep Sketch",
         {{"mean_q", util::Mean(q_sketch)},
          {"max_q", *std::max_element(q_sketch.begin(), q_sketch.end())}}},

@@ -29,11 +29,15 @@
 using namespace ds;
 
 int main(int argc, char** argv) {
-  bench::Args args(argc, argv);
-  const size_t titles = args.GetInt("titles", 12'000);
-  const size_t samples = args.GetInt("samples", 128);
-  const size_t hidden = args.GetInt("hidden", 64);
-  const uint64_t seed = args.GetInt("seed", 42);
+  util::Flags flags(argc, argv);
+  const size_t titles = flags.Count("titles", 12'000);
+  const size_t samples = flags.Count("samples", 128);
+  const size_t hidden = flags.Count("hidden", 64);
+  const uint64_t seed = flags.Count("seed", 42);
+  const size_t max_queries = flags.Count("max_queries", 12'000);
+  const std::string out =
+      flags.String("out", "bench_results/training_cost.json");
+  bench::ExitOnBadFlags(flags, argv[0]);
 
   std::printf("== Training cost (paper section 3) ==\n");
   datagen::ImdbOptions imdb;
@@ -45,7 +49,6 @@ int main(int argc, char** argv) {
   const auto tables = bench::JobLightTables();
 
   // Label the largest workload once; sweeps reuse prefixes of it.
-  const size_t kMaxQueries = args.GetInt("max_queries", 12'000);
   auto sample_set = est::SampleSet::Build(db, samples, seed).value();
   workload::GeneratorOptions gen_opts;
   gen_opts.tables = tables;
@@ -56,12 +59,12 @@ int main(int argc, char** argv) {
   util::WallTimer label_timer;
   auto labeled =
       workload::LabelQueries(db, &sample_set,
-                             generator.GenerateMany(kMaxQueries))
+                             generator.GenerateMany(max_queries))
           .value();
   const double label_seconds = label_timer.ElapsedSeconds();
   std::printf("labeled %zu training queries in %.1fs (%.2f ms/query)\n",
-              kMaxQueries, label_seconds,
-              1e3 * label_seconds / static_cast<double>(kMaxQueries));
+              max_queries, label_seconds,
+              1e3 * label_seconds / static_cast<double>(max_queries));
 
   auto space = mscn::FeatureSpace::Create(db, tables, samples).value();
   auto dataset = mscn::Dataset::Build(space, sample_set, labeled).value();
@@ -96,7 +99,7 @@ int main(int argc, char** argv) {
   rows.push_back({"labeling",
                   {{"seconds", label_seconds},
                    {"ms_per_query", 1e3 * label_seconds /
-                                        static_cast<double>(kMaxQueries)}}});
+                                        static_cast<double>(max_queries)}}});
 
   // Sweep 1: epochs at fixed 10k queries — training time must scale
   // linearly with epochs; validation q-error should plateau around ~25.
@@ -105,7 +108,7 @@ int main(int argc, char** argv) {
               "sec/epoch", "val mean-q", "val median-q");
   for (size_t epochs : {5, 10, 25, 50}) {
     double secs, mean_q, med_q;
-    train_once(std::min<size_t>(10'000, kMaxQueries), epochs, &secs, &mean_q,
+    train_once(std::min<size_t>(10'000, max_queries), epochs, &secs, &mean_q,
                &med_q);
     std::printf("%-8zu %10.1f %14.2f %16.2f %12.2f\n", epochs, secs,
                 secs / static_cast<double>(epochs), mean_q, med_q);
@@ -122,8 +125,8 @@ int main(int argc, char** argv) {
   std::printf("%-10s %10s %16s %12s\n", "queries", "seconds", "val mean-q",
               "val median-q");
   size_t prev = 0;
-  for (size_t n : {size_t{1'000}, size_t{4'000}, size_t{10'000}, kMaxQueries}) {
-    n = std::min(n, kMaxQueries);
+  for (size_t n : {size_t{1'000}, size_t{4'000}, size_t{10'000}, max_queries}) {
+    n = std::min(n, max_queries);
     if (n == prev) continue;
     prev = n;
     double secs, mean_q, med_q;
@@ -134,9 +137,7 @@ int main(int argc, char** argv) {
                      {"val_mean_q", mean_q},
                      {"val_median_q", med_q}}});
   }
-  bench::WriteBenchMetricsJson(
-      args.GetString("out", "bench_results/training_cost.json"),
-      "training_cost", rows);
+  bench::WriteBenchMetricsJson(out, "training_cost", rows);
 
   std::printf(
       "\npaper reference: 90k queries x 100 epochs = ~39 min on a GPU;\n"

@@ -26,13 +26,15 @@
 using namespace ds;
 
 int main(int argc, char** argv) {
-  bench::Args args(argc, argv);
-  const size_t titles = args.GetInt("titles", 15'000);
-  const size_t queries = args.GetInt("queries", 8'000);
-  const size_t epochs = args.GetInt("epochs", 25);
-  const size_t samples = args.GetInt("samples", 128);
-  const size_t eval_queries = args.GetInt("eval_queries", 400);
-  const uint64_t seed = args.GetInt("seed", 42);
+  util::Flags flags(argc, argv);
+  const size_t titles = flags.Count("titles", 15'000);
+  const size_t queries = flags.Count("queries", 8'000);
+  const size_t epochs = flags.Count("epochs", 25);
+  const size_t samples = flags.Count("samples", 128);
+  const size_t eval_queries = flags.Count("eval_queries", 400);
+  const uint64_t seed = flags.Count("seed", 42);
+  const std::string out = flags.String("out", "bench_results/zero_tuple.json");
+  bench::ExitOnBadFlags(flags, argv[0]);
 
   std::printf("== 0-tuple situations (paper section 2) ==\n");
   datagen::ImdbOptions imdb;
@@ -113,9 +115,7 @@ int main(int argc, char** argv) {
     row.name = "regular: " + row.name;
     all_rows.push_back(std::move(row));
   }
-  bench::WriteBenchMetricsJson(
-      args.GetString("out", "bench_results/zero_tuple.json"), "zero_tuple",
-      all_rows);
+  bench::WriteBenchMetricsJson(out, "zero_tuple", all_rows);
 
   std::printf(
       "\nshape: on the 0-tuple subset the sampling estimator's q-errors "

@@ -262,30 +262,6 @@ Tensor MaskedMean::Forward(const Tensor& flat, const Tensor& mask) {
   return out;
 }
 
-Tensor MaskedMean::Pool(const Tensor& flat, const Tensor& mask) {
-  DS_CHECK_EQ(flat.rank(), 2u);
-  DS_CHECK_EQ(mask.rank(), 2u);
-  const size_t b = mask.dim(0), s = mask.dim(1), h = flat.dim(1);
-  DS_CHECK_EQ(flat.dim(0), b * s);
-  Tensor out({b, h});
-  for (size_t i = 0; i < b; ++i) {
-    float count = 0.0f;
-    float* orow = out.data() + i * h;
-    for (size_t j = 0; j < s; ++j) {
-      const float m = mask.at(i, j);
-      if (m == 0.0f) continue;
-      count += m;
-      const float* frow = flat.data() + (i * s + j) * h;
-      for (size_t k = 0; k < h; ++k) orow[k] += m * frow[k];
-    }
-    if (count > 0.0f) {
-      const float inv = 1.0f / count;
-      for (size_t k = 0; k < h; ++k) orow[k] *= inv;
-    }
-  }
-  return out;
-}
-
 void MaskedMean::PoolInto(const Tensor& flat, const Tensor& mask,
                           Tensor* out) {
   DS_CHECK_EQ(flat.rank(), 2u);

@@ -176,11 +176,9 @@ class MaskedMean {
   /// dy is [B, H]; returns gradient for `flat` [B*S, H].
   Tensor Backward(const Tensor& dy);
 
-  /// Stateless pooling (inference path): same math as Forward, no caches.
-  static Tensor Pool(const Tensor& flat, const Tensor& mask);
-
-  /// Allocation-free Pool: `out` is resized in place to [B, H]. Bit-for-bit
-  /// identical to Pool.
+  /// Stateless, allocation-free pooling (inference path): `out` is resized
+  /// in place to [B, H]. Bit-for-bit identical to Forward, without its
+  /// caches.
   static void PoolInto(const Tensor& flat, const Tensor& mask, Tensor* out);
 
   /// Mean pooling without padding: set i averages rows

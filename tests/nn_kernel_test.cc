@@ -251,12 +251,12 @@ TEST(KernelTest, MlpInferIntoMatchesInferAndForward) {
   ExpectBitIdentical(fwd, *sparse);
 }
 
-TEST(KernelTest, PoolIntoMatchesPool) {
+TEST(KernelTest, PoolIntoMatchesForward) {
   util::Pcg32 rng(16);
   Tensor flat = RandomTensor({6 * 3, 10}, &rng);
   Tensor mask({6, 3});
   for (float& v : mask.vec()) v = rng.UniformDouble(0, 1) < 0.5 ? 1.0f : 0.0f;
-  Tensor want = nn::MaskedMean::Pool(flat, mask);
+  Tensor want = nn::MaskedMean().Forward(flat, mask);
   Tensor got;
   nn::MaskedMean::PoolInto(flat, mask, &got);
   ExpectBitIdentical(want, got);

@@ -192,16 +192,17 @@ TEST(ActivationTest, ApplyInPlaceMatchesForward) {
   }
 }
 
-TEST(MaskedMeanTest, PoolMatchesForward) {
+TEST(MaskedMeanTest, PoolIntoMatchesForward) {
   Tensor flat = Tensor::FromData(
       {6, 2}, {1, 2, 3, 4, 100, 100, 5, 6, 100, 100, 100, 100});
   Tensor mask = Tensor::FromData({2, 3}, {1, 1, 0, 1, 0, 0});
   MaskedMean pool;
   Tensor want = pool.Forward(flat, mask);
-  Tensor got = MaskedMean::Pool(flat, mask);
+  Tensor got;
+  MaskedMean::PoolInto(flat, mask, &got);
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_FLOAT_EQ(got.at(i), want.at(i));
+    EXPECT_EQ(got.at(i), want.at(i));
   }
 }
 

@@ -1,16 +1,19 @@
 // Unit tests for ds/util: Status/Result, random, serialization, stats,
-// strings, fd ownership, CPU topology.
+// strings, fd ownership, CPU topology, command-line flags.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <new>
 #include <numeric>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #if defined(__linux__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -20,6 +23,7 @@
 #include "ds/util/alloc.h"
 #include "ds/util/cpu_topology.h"
 #include "ds/util/fd.h"
+#include "ds/util/flags.h"
 #include "ds/util/random.h"
 #include "ds/util/serialize.h"
 #include "ds/util/stats.h"
@@ -508,6 +512,242 @@ TEST(AllocCountTest, OtherThreadsDoNotLandInTheCallersCount) {
   EXPECT_EQ(delta, 0u);
   // The other thread counted its own allocations.
   EXPECT_GE(other_count, iterations.load());
+}
+
+// --- Flags ---------------------------------------------------------------
+
+// Flags over `args`, as if they followed a program name on a command line.
+util::Flags MakeFlags(const std::vector<std::string>& args) {
+  std::vector<const char*> argv = {"prog"};
+  for (const std::string& a : args) argv.push_back(a.c_str());
+  return util::Flags(static_cast<int>(argv.size()), argv.data());
+}
+
+// One value given to one getter: whether it parses, and to what. A rejected
+// value must yield the getter's default and an error naming the flag.
+template <typename T>
+struct FlagCase {
+  std::string value;
+  bool ok;
+  T want{};
+};
+
+template <typename T, typename Get>
+void ExpectFlagCases(const std::vector<FlagCase<T>>& cases, T def, Get get) {
+  for (const FlagCase<T>& c : cases) {
+    SCOPED_TRACE("n=" + c.value);
+    util::Flags flags = MakeFlags({"n=" + c.value});
+    const T got = get(flags, def);
+    const Status st = flags.Finish();
+    EXPECT_EQ(st.ok(), c.ok) << st.ToString();
+    EXPECT_EQ(got, c.ok ? c.want : def);
+    if (!c.ok) {
+      EXPECT_NE(st.message().find("flag n=" + c.value + ": expected"),
+                std::string::npos)
+          << st.message();
+    }
+  }
+}
+
+TEST(FlagsTest, CountTakesUnsignedDecimalsOnly) {
+  ExpectFlagCases<uint64_t>(
+      {{"0", true, 0},
+       {"42", true, 42},
+       {"007", true, 7},
+       {"18446744073709551615", true, UINT64_MAX},
+       {"18446744073709551616", false},  // overflow
+       {"", false},                      // empty number
+       {"abc", false},                   // garbage
+       {"12abc", false},                 // trailing text
+       {"5 ", false},
+       {" 5", false},
+       {"-3", false},  // a sign on a count is an error, not 2^64-3
+       {"+3", false},
+       {"-0", false},
+       {"0x10", false},
+       {"1e3", false},
+       {"2.5", false}},
+      uint64_t{9},
+      [](util::Flags& f, uint64_t def) { return f.Count("n", def); });
+}
+
+TEST(FlagsTest, CountRangeCapsThreadCounts) {
+  ExpectFlagCases<uint64_t>(
+      {{"1", true, 1},
+       {"1024", true, 1024},
+       {"0", false},
+       {"1025", false},
+       {"4294967296", false}},
+      uint64_t{2}, [](util::Flags& f, uint64_t def) {
+        return f.Count("n", def, 1, util::Flags::kMaxThreads);
+      });
+  util::Flags flags = MakeFlags({"workers=0"});
+  flags.Count("workers", 2, 1, util::Flags::kMaxThreads);
+  EXPECT_EQ(flags.Finish().message(),
+            "flag workers=0: expected a count in [1, 1024]");
+}
+
+TEST(FlagsTest, ErrorNamesOnlyTheBoundsThatAreSet) {
+  const struct {
+    std::function<void(util::Flags&)> get;
+    std::string want;
+  } cases[] = {
+      {[](util::Flags& f) { f.Count("n", 0); }, "expected a count"},
+      {[](util::Flags& f) { f.Count("n", 1, 1); }, "expected a count >= 1"},
+      {[](util::Flags& f) { f.Int("n", 0); }, "expected an integer"},
+      {[](util::Flags& f) { f.Int("n", 0, INT64_MIN, 9); },
+       "expected an integer <= 9"},
+      {[](util::Flags& f) { f.Double("n", 0, 0); },
+       "expected a finite number >= 0"},
+      {[](util::Flags& f) { f.Double("n", 0, 0, 1); },
+       "expected a finite number in [0, 1]"},
+  };
+  for (const auto& c : cases) {
+    util::Flags flags = MakeFlags({"n=x"});
+    c.get(flags);
+    EXPECT_EQ(flags.Finish().message(), "flag n=x: " + c.want);
+  }
+}
+
+TEST(FlagsTest, IntTakesSignedDecimalsInRange) {
+  ExpectFlagCases<int64_t>(
+      {{"0", true, 0},
+       {"-3", true, -3},
+       {"9223372036854775807", true, INT64_MAX},
+       {"-9223372036854775808", true, INT64_MIN},
+       {"9223372036854775808", false},  // overflow
+       {"-9223372036854775809", false},
+       {"", false},
+       {"-", false},
+       {"--3", false},
+       {"+3", false},
+       {"3.0", false},
+       {"3x", false}},
+      int64_t{5}, [](util::Flags& f, int64_t def) { return f.Int("n", def); });
+  ExpectFlagCases<int64_t>(
+      {{"0", true, 0}, {"10", true, 10}, {"-1", false}, {"11", false}},
+      int64_t{5},
+      [](util::Flags& f, int64_t def) { return f.Int("n", def, 0, 10); });
+}
+
+TEST(FlagsTest, DoubleTakesFiniteDecimalsInRange) {
+  ExpectFlagCases<double>(
+      {{"0", true, 0.0},
+       {"0.5", true, 0.5},
+       {"-2.25", true, -2.25},
+       {"1e3", true, 1000.0},
+       {"5", true, 5.0},
+       {"", false},
+       {"abc", false},
+       {"0.5s", false},
+       {"1,5", false},
+       {"nan", false},
+       {"inf", false},
+       {"-inf", false},
+       {"infinity", false},
+       {"1e400", false},  // overflow
+       {"+1", false}},
+      1.0, [](util::Flags& f, double def) { return f.Double("n", def); });
+  ExpectFlagCases<double>(
+      {{"0", true, 0.0}, {"1", true, 1.0}, {"-0.1", false}, {"1.5", false}},
+      0.25, [](util::Flags& f, double def) { return f.Double("n", def, 0, 1); });
+}
+
+TEST(FlagsTest, BoolTakesZeroOrOne) {
+  ExpectFlagCases<bool>({{"0", true, false},
+                         {"1", true, true},
+                         {"2", false},
+                         {"yes", false},
+                         {"true", false},
+                         {"01", false},
+                         {"", false}},
+                        true,
+                        [](util::Flags& f, bool def) { return f.Bool("n", def); });
+}
+
+TEST(FlagsTest, StringTakesAnyValueIncludingEmpty) {
+  util::Flags flags = MakeFlags({"json=", "where=a=b", "path=/tmp/x y"});
+  EXPECT_EQ(flags.String("json", "bench.json"), "");
+  EXPECT_EQ(flags.String("where", ""), "a=b");
+  EXPECT_EQ(flags.String("path", ""), "/tmp/x y");
+  EXPECT_EQ(flags.String("absent", "dflt"), "dflt");
+  EXPECT_TRUE(flags.Finish().ok());
+}
+
+TEST(FlagsTest, OnlyIdentifierEqualsValueIsAFlag) {
+  const std::vector<std::string> positional = {
+      "SELECT COUNT(*) FROM title t, movie_keyword mk "
+      "WHERE mk.movie_id = t.id",
+      "SELECT COUNT(*) FROM title t WHERE t.kind_id=1",
+      "k.keyword='murder'",
+      "/tmp/runs/a=b.sketch",
+      "demo.sketch",
+      "Threads=4",  // keys are lower case
+      "9lives=1",
+      "=5",
+      "--help",
+      "-x=1",
+  };
+  std::vector<std::string> args = positional;
+  args.insert(args.begin() + 2, "threads=4");
+  args.push_back("_private_2=x");
+  util::Flags flags = MakeFlags(args);
+  EXPECT_EQ(flags.Count("threads", 1), 4u);
+  EXPECT_EQ(flags.String("_private_2", ""), "x");
+  EXPECT_EQ(flags.TakePositionals(), positional);
+  EXPECT_TRUE(flags.Finish().ok()) << flags.Finish().ToString();
+}
+
+TEST(FlagsTest, PositionalRejectedUnlessTaken) {
+  util::Flags rejecting = MakeFlags({"titles=5", "stray"});
+  rejecting.Count("titles", 1);
+  EXPECT_EQ(rejecting.Finish().message(),
+            "unexpected argument 'stray' (flags are name=value)");
+
+  util::Flags taking = MakeFlags({"stray"});
+  EXPECT_EQ(taking.TakePositionals(), std::vector<std::string>{"stray"});
+  EXPECT_TRUE(taking.Finish().ok());
+}
+
+TEST(FlagsTest, DuplicateKeyIsAnError) {
+  util::Flags flags = MakeFlags({"workers=2", "workers=3"});
+  EXPECT_EQ(flags.Count("workers", 1), 2u);
+  EXPECT_EQ(flags.Finish().message(), "flag 'workers' given twice");
+}
+
+TEST(FlagsTest, UnreadKeyIsAnErrorListingTheKnownKeys) {
+  util::Flags flags =
+      MakeFlags({"demo=imdb", "listn=127.0.0.1:99999", "seconds=0.3"});
+  flags.String("demo", "");
+  flags.String("listen", "127.0.0.1:0");
+  flags.Double("seconds", 0, 0);
+  EXPECT_EQ(flags.Finish().message(),
+            "unknown flag 'listn' (known: demo, listen, seconds)");
+}
+
+TEST(FlagsTest, KeyMayBeReadTwice) {
+  util::Flags flags = MakeFlags({"seed=7"});
+  EXPECT_EQ(flags.Count("seed", 42), 7u);
+  EXPECT_EQ(flags.Count("seed", 42), 7u);
+  EXPECT_TRUE(flags.Finish().ok());
+}
+
+TEST(FlagsTest, FirstErrorWins) {
+  util::Flags flags = MakeFlags({"threads=abc", "depth=-3", "bogus=1"});
+  EXPECT_EQ(flags.Count("threads", 4, 1, util::Flags::kMaxThreads), 4u);
+  EXPECT_EQ(flags.Count("depth", 4, 1), 4u);
+  EXPECT_EQ(flags.Finish().message(),
+            "flag threads=abc: expected a count in [1, 1024]");
+}
+
+TEST(FlagsTest, NoArgumentsMeansDefaults) {
+  util::Flags flags = MakeFlags({});
+  EXPECT_EQ(flags.Count("n", 3), 3u);
+  EXPECT_EQ(flags.Int("i", -1), -1);
+  EXPECT_EQ(flags.Double("d", 0.5), 0.5);
+  EXPECT_TRUE(flags.Bool("b", true));
+  EXPECT_TRUE(flags.TakePositionals().empty());
+  EXPECT_TRUE(flags.Finish().ok());
 }
 
 }  // namespace

@@ -72,6 +72,7 @@
 // `ds_lint --self-test <repo>/src <repo>/tools <repo>/tests/lockdep_test.cc`.
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <regex>
@@ -763,8 +764,14 @@ int main(int argc, char** argv) {
     } else if ((v = ArgValue(argv[i], "--sarif")) != nullptr) {
       sarif_path = v;
     } else if ((v = ArgValue(argv[i], "--jobs")) != nullptr) {
-      jobs = std::atoi(v);
-      if (jobs <= 0) jobs = 1;
+      const char* end = v + std::strlen(v);
+      const auto [ptr, ec] = std::from_chars(v, end, jobs);
+      if (ec != std::errc() || ptr != end || jobs <= 0) {
+        std::fprintf(stderr,
+                     "ds_lint: --jobs wants a positive integer, got '%s'\n",
+                     v);
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::fprintf(stderr,
                    "usage: ds_lint [--self-test] [--sarif=<path>] "

@@ -10,13 +10,19 @@
 // Every positional argument is a sketch file, registered under its file
 // stem (queries name it via the wire protocol's sketch field). demo=imdb
 // trains a small in-memory sketch named "demo" instead — no files needed,
-// which is what the CI integration smoke uses.
+// which is what the CI integration smoke uses. Every flag is checked
+// before anything is trained or loaded: an unknown key, a key given twice,
+// or a malformed or out-of-range value exits 2 (see ds/util/flags.h).
 //
 //   listen       bind address, default 127.0.0.1:0 (ephemeral; the chosen
 //                port is printed — scripts parse the "listening on" line).
 //                A malformed address or a port past 65535 exits 2.
 //   workers      SketchServer batching workers (default 2)
+//   max_batch/wait_us/queue
+//                batching: requests per EstimateMany, linger in µs, and
+//                pending-request bound (defaults: serve::ServerOptions)
 //   net_workers  event-loop threads, 0 = one per physical core
+//   pin          pin the event-loop threads one per core (default 1)
 //   rate/burst   per-tenant token-bucket admission (0 = admit everything)
 //   quant        weight format sketches are packed to before serving
 //                (default fp32 = serve weights as they arrive); int8/fp16
@@ -44,11 +50,9 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <map>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -61,6 +65,7 @@
 #include "ds/serve/registry.h"
 #include "ds/serve/server.h"
 #include "ds/sketch/deep_sketch.h"
+#include "ds/util/flags.h"
 
 using namespace ds;
 
@@ -82,20 +87,11 @@ int Fail(const Status& status) {
   return 1;
 }
 
-struct Flags {
-  std::map<std::string, std::string> values;
-
-  int64_t GetInt(const std::string& name, int64_t def) const {
-    auto it = values.find(name);
-    return it == values.end() ? def
-                              : std::strtoll(it->second.c_str(), nullptr, 10);
-  }
-  std::string GetString(const std::string& name,
-                        const std::string& def) const {
-    auto it = values.find(name);
-    return it == values.end() ? def : it->second;
-  }
-};
+/// Like Fail, for a bad flag or argument: exit code 2, as for usage errors.
+int BadArgument(const Status& status) {
+  Fail(status);
+  return 2;
+}
 
 /// Trains the small built-in demo sketch (deterministic, a few seconds) so
 /// the daemon can serve without any sketch file on disk.
@@ -128,47 +124,66 @@ Result<sketch::DeepSketch> TrainDemoSketch(const std::string& dataset) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags;
-  std::vector<std::string> sketch_files;
   for (int i = 1; i < argc; ++i) {
-    std::string arg(argv[i]);
-    if (arg == "--help") {
+    if (std::string_view(argv[i]) == "--help") {
       std::fprintf(stderr,
                    "usage: ds_served [<sketch-file>...] [listen=host:port] "
-                   "[demo=imdb|tpch] [workers=N] [net_workers=N] [rate=R] "
-                   "[burst=B] [seconds=S] [quant=fp32|fp16|int8] "
-                   "[pin_workers=0|1] [trace=N] [drain_ms=M]\n");
+                   "[demo=imdb|tpch] [workers=N] [net_workers=N] "
+                   "[max_batch=N] [wait_us=N] [queue=N] [rate=R] [burst=B] "
+                   "[seconds=S] [pin=0|1] [pin_workers=0|1] "
+                   "[quant=fp32|fp16|int8] [trace=N] [drain_ms=M]\n");
       return 0;
     }
-    const auto eq = arg.find('=');
-    if (eq != std::string::npos) {
-      flags.values[arg.substr(0, eq)] = arg.substr(eq + 1);
-    } else {
-      sketch_files.push_back(arg);
-    }
   }
+  // Every flag is read and checked before a sketch is trained or loaded,
+  // so a typo fails fast.
+  util::Flags flags(argc, argv);
+  const std::vector<std::string> sketch_files = flags.TakePositionals();
+  const std::string demo = flags.String("demo", "");
+  const std::string listen_text = flags.String("listen", "127.0.0.1:0");
+  const std::string quant = flags.String("quant", "fp32");
+  serve::ServerOptions serve_options;
+  serve_options.num_workers = flags.Count(
+      "workers", serve_options.num_workers, 1, util::Flags::kMaxThreads);
+  serve_options.num_queue_shards = serve_options.num_workers;
+  serve_options.queue_capacity =
+      flags.Count("queue", serve_options.queue_capacity, 1);
+  // A batch never holds more than the queue does.
+  serve_options.max_batch = flags.Count("max_batch", serve_options.max_batch,
+                                        1, serve_options.queue_capacity);
+  // A linger past one second is a typo, not a batching policy.
+  serve_options.max_wait_us =
+      flags.Count("wait_us", serve_options.max_wait_us, 0, 1'000'000);
+  serve_options.trace_sample_every = flags.Count("trace", 64);
+  serve_options.pin_workers =
+      flags.Bool("pin_workers", serve_options.pin_workers);
+  net::NetServerOptions net_options;
+  net_options.num_workers = flags.Count(
+      "net_workers", net_options.num_workers, 0, util::Flags::kMaxThreads);
+  net_options.pin_threads = flags.Bool("pin", net_options.pin_threads);
+  net_options.admission.tenant_rate = flags.Double("rate", 0, 0);
+  net_options.admission.tenant_burst = flags.Double("burst", 0, 0);
+  const double seconds = flags.Double("seconds", 0, 0);
+  const int64_t drain_ms = flags.Int("drain_ms", 0, 0);
+  if (Status st = flags.Finish(); !st.ok()) return BadArgument(st);
 
-  const std::string demo = flags.GetString("demo", "");
   if (sketch_files.empty() && demo.empty()) {
     std::fprintf(stderr,
                  "ds_served: nothing to serve (pass sketch files or "
                  "demo=imdb|tpch; see --help)\n");
     return 2;
   }
-  // Checked before any sketch is trained or loaded, so a typo fails fast.
-  auto listen = net::ParseHostPort(flags.GetString("listen", "127.0.0.1:0"));
-  if (!listen.ok()) {
-    Fail(listen.status());
-    return 2;
-  }
-
+  auto listen = net::ParseHostPort(listen_text);
+  if (!listen.ok()) return BadArgument(listen.status());
+  net_options.host = listen->host;
+  net_options.port = listen->port;
   serve::RegistryOptions registry_options;
-  const std::string quant = flags.GetString("quant", "fp32");
   {
     auto mode = nn::ParseQuantMode(quant);
-    if (!mode.ok()) return Fail(mode.status());
+    if (!mode.ok()) return BadArgument(mode.status());
     registry_options.quant_mode = *mode;
   }
+
   serve::SketchRegistry registry{registry_options};
   if (!demo.empty()) {
     std::fprintf(stderr, "ds_served: training demo sketch (%s)...\n",
@@ -187,34 +202,12 @@ int main(int argc, char** argv) {
                  file.c_str());
   }
 
-  serve::ServerOptions serve_options;
-  serve_options.num_workers =
-      static_cast<size_t>(flags.GetInt("workers", 2));
-  serve_options.num_queue_shards = serve_options.num_workers;
-  serve_options.max_batch = static_cast<size_t>(flags.GetInt("max_batch", 32));
-  serve_options.max_wait_us =
-      static_cast<uint64_t>(flags.GetInt("wait_us", 200));
-  serve_options.queue_capacity =
-      static_cast<size_t>(flags.GetInt("queue", 4096));
-  serve_options.trace_sample_every =
-      static_cast<uint64_t>(flags.GetInt("trace", 64));
-  serve_options.pin_workers = flags.GetInt("pin_workers", 0) != 0;
   serve::SketchServer backend(&registry, serve_options);
 
   // Crash-path observability: a fatal signal dumps the flight recorder's
   // retained requests to stderr before the default handler re-raises.
   obs::SetCrashFlightRecorder(backend.flight());
 
-  net::NetServerOptions net_options;
-  net_options.host = listen->host;
-  net_options.port = listen->port;
-  net_options.num_workers =
-      static_cast<size_t>(flags.GetInt("net_workers", 0));
-  net_options.pin_threads = flags.GetInt("pin", 1) != 0;
-  net_options.admission.tenant_rate =
-      static_cast<double>(flags.GetInt("rate", 0));
-  net_options.admission.tenant_burst =
-      static_cast<double>(flags.GetInt("burst", 0));
   net::NetServer front(&backend, net_options);
   if (auto st = front.Start(); !st.ok()) return Fail(st);
 
@@ -227,8 +220,6 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, HandleSignal);
   std::signal(SIGUSR1, HandleDumpSignal);
 
-  const double seconds =
-      std::strtod(flags.GetString("seconds", "0").c_str(), nullptr);
   const auto start = std::chrono::steady_clock::now();
   while (!g_stop.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -244,7 +235,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const int64_t drain_ms = flags.GetInt("drain_ms", 0);
   if (drain_ms > 0) {
     // Grace window: /readyz flips to "draining" immediately, but the
     // listener keeps serving so load balancers can observe the flip and

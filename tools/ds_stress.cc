@@ -19,53 +19,45 @@
 //             acquisition stacks — under chaos that is the point.
 //
 // Exit status: 0 when every oracle held, 1 on any violation (the report
-// and the first violation messages go to stderr), 2 on setup failure.
+// and the first violation messages go to stderr), 2 on a bad flag (an
+// unknown key, a malformed or out-of-range value, a positional argument)
+// or a setup failure.
 //
 // CI runs this under TSan as the stress-soak job: a clean soak means the
 // oracle families (monotonicity, determinism, batch-equivalence, metrics
 // ledger) AND the data-race checker both stayed quiet under chaos.
 
 #include <cstdio>
-#include <cstdlib>
-#include <map>
+#include <limits>
 #include <string>
 
 #include "ds/stress/harness.h"
+#include "ds/util/flags.h"
 #include "ds/util/lockdep.h"
 
-namespace {
-
-struct Flags {
-  std::map<std::string, std::string> values;
-
-  long long GetInt(const std::string& key, long long def) const {
-    auto it = values.find(key);
-    if (it == values.end()) return def;
-    return std::atoll(it->second.c_str());
-  }
-  std::string GetString(const std::string& key, const std::string& def) const {
-    auto it = values.find(key);
-    return it == values.end() ? def : it->second;
-  }
-};
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "ds_stress: expected key=value, got '%s'\n",
-                   arg.c_str());
-      return 2;
-    }
-    flags.values[arg.substr(0, eq)] = arg.substr(eq + 1);
-  }
-
+  using ds::util::Flags;
+  // Every flag is read and checked before the corpus is loaded or trained.
+  Flags flags(argc, argv);
   ds::stress::StressOptions options;
-  options.corpus_dir = flags.GetString("corpus", "");
+  options.corpus_dir = flags.String("corpus", "");
+  options.seed = flags.Count("seed", 1);
+  const uint64_t seconds = flags.Count(
+      "seconds", 10, 0, std::numeric_limits<uint64_t>::max() / 1000);
+  options.duration_ms = flags.Count("ms", seconds * 1000);
+  options.num_clients = flags.Count("clients", 8, 1, Flags::kMaxThreads);
+  options.num_chaos = flags.Count("chaos", 2, 0, Flags::kMaxThreads);
+  options.use_net = flags.Bool("net", false);
+  options.run_killer = flags.Bool("killer", true);
+  options.pool_pairs = flags.Count("pairs", 24);
+  options.server_workers = flags.Count("workers", 4, 1, Flags::kMaxThreads);
+  options.queue_capacity = flags.Count("queue", 1024, 1);
+  options.verbose = !flags.Bool("quiet", false);
+  const bool lockdep = flags.Bool("lockdep", true);
+  if (ds::Status st = flags.Finish(); !st.ok()) {
+    std::fprintf(stderr, "ds_stress: %s\n", st.ToString().c_str());
+    return 2;
+  }
   if (options.corpus_dir.empty()) {
     std::fprintf(stderr,
                  "usage: ds_stress corpus=<dir> [seed=N] [seconds=S] [ms=M] "
@@ -73,22 +65,10 @@ int main(int argc, char** argv) {
                  "[workers=N] [queue=N] [quiet=0|1] [lockdep=0|1]\n");
     return 2;
   }
-  options.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  const long long seconds = flags.GetInt("seconds", 10);
-  options.duration_ms =
-      static_cast<uint64_t>(flags.GetInt("ms", seconds * 1000));
-  options.num_clients = static_cast<size_t>(flags.GetInt("clients", 8));
-  options.num_chaos = static_cast<size_t>(flags.GetInt("chaos", 2));
-  options.use_net = flags.GetInt("net", 0) != 0;
-  options.run_killer = flags.GetInt("killer", 1) != 0;
-  options.pool_pairs = static_cast<size_t>(flags.GetInt("pairs", 24));
-  options.server_workers = static_cast<size_t>(flags.GetInt("workers", 4));
-  options.queue_capacity = static_cast<size_t>(flags.GetInt("queue", 1024));
-  options.verbose = flags.GetInt("quiet", 0) == 0;
 
   // The soak always runs with the lock-order checker armed unless the
   // caller opts out; a violation aborts mid-run with both stacks.
-  ds::util::lockdep::SetEnabled(flags.GetInt("lockdep", 1) != 0);
+  ds::util::lockdep::SetEnabled(lockdep);
 
   auto report = ds::stress::RunStress(options);
   if (!report.ok()) {

@@ -62,12 +62,15 @@
 // Generation is deterministic per seed, so a sketch trained via `dsctl
 // train imdb ... seed=42` answers queries about exactly the dataset that
 // `dsctl gen imdb ... seed=42` exports.
+//
+// Every command reads its name=value flags (ds/util/flags.h) before doing
+// any work: an unknown key, a key given twice, a malformed or out-of-range
+// value, or a stray positional argument exits 2.
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <map>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -87,6 +90,7 @@
 #include "ds/sketch/deep_sketch.h"
 #include "ds/sketch/template.h"
 #include "ds/storage/csv.h"
+#include "ds/util/flags.h"
 #include "ds/util/json_check.h"
 #include "ds/util/string_util.h"
 
@@ -94,47 +98,25 @@ using namespace ds;
 
 namespace {
 
-struct Flags {
-  std::map<std::string, std::string> values;
+using CatalogMaker =
+    std::function<Result<std::unique_ptr<storage::Catalog>>()>;
 
-  int64_t GetInt(const std::string& name, int64_t def) const {
-    auto it = values.find(name);
-    return it == values.end() ? def
-                              : std::strtoll(it->second.c_str(), nullptr, 10);
-  }
-  std::string GetString(const std::string& name,
-                        const std::string& def) const {
-    auto it = values.find(name);
-    return it == values.end() ? def : it->second;
-  }
-};
-
-Flags ParseFlags(int argc, char** argv, int first) {
-  Flags flags;
-  for (int i = first; i < argc; ++i) {
-    std::string arg(argv[i]);
-    auto eq = arg.find('=');
-    if (eq != std::string::npos) {
-      flags.values[arg.substr(0, eq)] = arg.substr(eq + 1);
-    }
-  }
-  return flags;
-}
-
-Result<std::unique_ptr<storage::Catalog>> MakeDataset(
-    const std::string& name, const Flags& flags) {
+/// Reads dataset `name`'s generator flags (imdb: titles, seed; tpch:
+/// customers, seed) and returns its generator, so the caller checks every
+/// flag before anything is generated.
+Result<CatalogMaker> DatasetFromFlags(const std::string& name,
+                                      util::Flags* flags) {
   if (name == "imdb") {
     datagen::ImdbOptions opts;
-    opts.num_titles = static_cast<size_t>(flags.GetInt("titles", 15'000));
-    opts.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-    return datagen::GenerateImdb(opts);
+    opts.num_titles = flags->Count("titles", 15'000);
+    opts.seed = flags->Count("seed", 42);
+    return CatalogMaker([opts] { return datagen::GenerateImdb(opts); });
   }
   if (name == "tpch") {
     datagen::TpchOptions opts;
-    opts.num_customers =
-        static_cast<size_t>(flags.GetInt("customers", 3'000));
-    opts.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-    return datagen::GenerateTpch(opts);
+    opts.num_customers = flags->Count("customers", 3'000);
+    opts.seed = flags->Count("seed", 42);
+    return CatalogMaker([opts] { return datagen::GenerateTpch(opts); });
   }
   return Status::InvalidArgument("unknown dataset '" + name +
                                  "' (imdb|tpch)");
@@ -156,8 +138,11 @@ int CmdGen(int argc, char** argv) {
     std::fprintf(stderr, "usage: dsctl gen <imdb|tpch> <out-dir> [...]\n");
     return 2;
   }
-  Flags flags = ParseFlags(argc, argv, 4);
-  auto catalog = MakeDataset(argv[2], flags);
+  util::Flags flags(argc, argv, 4);
+  auto dataset = DatasetFromFlags(argv[2], &flags);
+  if (!dataset.ok()) return Fail(dataset.status());
+  if (Status st = flags.Finish(); !st.ok()) return BadArgument(st);
+  auto catalog = (*dataset)();
   if (!catalog.ok()) return Fail(catalog.status());
   const std::string dir = argv[3];
   std::error_code ec;
@@ -179,20 +164,24 @@ int CmdTrain(int argc, char** argv) {
                  "usage: dsctl train <imdb|tpch> <sketch-file> [...]\n");
     return 2;
   }
-  Flags flags = ParseFlags(argc, argv, 4);
-  auto catalog = MakeDataset(argv[2], flags);
-  if (!catalog.ok()) return Fail(catalog.status());
-
+  util::Flags flags(argc, argv, 4);
+  auto dataset = DatasetFromFlags(argv[2], &flags);
+  if (!dataset.ok()) return Fail(dataset.status());
   sketch::SketchConfig config;
-  const std::string tables_csv = flags.GetString("tables", "");
+  const std::string tables_csv = flags.String("tables", "");
   if (!tables_csv.empty()) config.tables = util::Split(tables_csv, ',');
-  config.num_training_queries =
-      static_cast<size_t>(flags.GetInt("queries", 8'000));
-  config.num_epochs = static_cast<size_t>(flags.GetInt("epochs", 25));
-  config.num_samples = static_cast<size_t>(flags.GetInt("samples", 256));
-  config.hidden_units = static_cast<size_t>(flags.GetInt("hidden", 64));
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  config.training_threads = static_cast<size_t>(flags.GetInt("threads", 1));
+  config.num_training_queries = flags.Count("queries", 8'000);
+  config.num_epochs = flags.Count("epochs", 25);
+  config.num_samples = flags.Count("samples", 256);
+  config.hidden_units = flags.Count("hidden", 64);
+  config.seed = flags.Count("seed", 42);
+  config.training_threads =
+      flags.Count("threads", 1, 1, util::Flags::kMaxThreads);
+  const std::string log_path = flags.String("log", "");
+  const bool verbose = flags.Bool("verbose", false);
+  if (Status st = flags.Finish(); !st.ok()) return BadArgument(st);
+  auto catalog = (*dataset)();
+  if (!catalog.ok()) return Fail(catalog.status());
 
   sketch::TrainingMonitor monitor;
   monitor.on_labeling_progress = [](size_t done, size_t total) {
@@ -202,13 +191,11 @@ int CmdTrain(int argc, char** argv) {
     }
   };
   std::unique_ptr<mscn::TrainingLogger> logger;
-  const std::string log_path = flags.GetString("log", "");
   if (!log_path.empty()) {
     auto opened = mscn::TrainingLogger::Open(log_path);
     if (!opened.ok()) return Fail(opened.status());
     logger = std::make_unique<mscn::TrainingLogger>(std::move(opened).value());
   }
-  const bool verbose = flags.GetInt("verbose", 0) != 0;
   monitor.on_epoch = [&](const mscn::EpochStats& e) {
     if (logger != nullptr) logger->LogEpoch(e);
     std::printf("%s\n", mscn::FormatEpochRecord(e).c_str());
@@ -268,18 +255,19 @@ int CmdTemplate(int argc, char** argv) {
                  "usage: dsctl template <sketch-file> <SQL-with-?> [...]\n");
     return 2;
   }
-  Flags flags = ParseFlags(argc, argv, 4);
+  util::Flags flags(argc, argv, 4);
+  sketch::TemplateOptions opts;
+  const uint64_t buckets = flags.Count("buckets", 0);
+  if (buckets > 0) {
+    opts.grouping = sketch::TemplateOptions::Grouping::kBuckets;
+    opts.num_buckets = buckets;
+  }
+  opts.max_instances = flags.Count("max", 64, 1);
+  if (Status st = flags.Finish(); !st.ok()) return BadArgument(st);
   auto sketch = sketch::DeepSketch::Load(argv[2]);
   if (!sketch.ok()) return Fail(sketch.status());
   auto bound = sketch->BindSql(argv[3]);
   if (!bound.ok()) return Fail(bound.status());
-  sketch::TemplateOptions opts;
-  const int64_t buckets = flags.GetInt("buckets", 0);
-  if (buckets > 0) {
-    opts.grouping = sketch::TemplateOptions::Grouping::kBuckets;
-    opts.num_buckets = static_cast<size_t>(buckets);
-  }
-  opts.max_instances = static_cast<size_t>(flags.GetInt("max", 64));
   auto instances = sketch::InstantiateTemplate(*bound, sketch->samples(), opts);
   if (!instances.ok()) return Fail(instances.status());
   for (const auto& inst : *instances) {
@@ -299,20 +287,18 @@ int CmdNetLoad(int argc, char** argv) {
   }
   const auto target = net::ParseHostPort(argv[2]);
   if (!target.ok()) return BadArgument(target.status());
-  Flags flags;
-  std::vector<std::string> sqls;
-  for (int i = 4; i < argc; ++i) {
-    std::string arg(argv[i]);
-    const auto eq = arg.find('=');
-    // Query text contains spaces but never '=' before a space-free prefix
-    // that looks like a flag name; anything with '=' in its first token is
-    // a flag, the rest are SQL statements.
-    if (eq != std::string::npos && arg.find(' ') > eq) {
-      flags.values[arg.substr(0, eq)] = arg.substr(eq + 1);
-    } else {
-      sqls.push_back(std::move(arg));
-    }
-  }
+  // SQL text never starts with an identifier followed by '=', so every
+  // statement is a positional argument.
+  util::Flags flags(argc, argv, 4);
+  std::vector<std::string> sqls = flags.TakePositionals();
+  net::LoadOptions load;
+  load.threads = flags.Count("threads", 4, 1, util::Flags::kMaxThreads);
+  load.pipeline_depth = flags.Count("depth", 4, 1);
+  // Up to 1e9 s, so the window in microseconds fits an int64_t.
+  load.seconds = flags.Double("seconds", 5, 0, 1e9);
+  load.trace_sample_every = flags.Count("trace", 0);
+  const std::string tenant = flags.String("tenant", "");
+  if (Status st = flags.Finish(); !st.ok()) return BadArgument(st);
   if (sqls.empty()) {
     // The built-in demo corpus: valid against `ds_served demo=imdb`.
     sqls = {
@@ -322,14 +308,6 @@ int CmdNetLoad(int argc, char** argv) {
         "SELECT COUNT(*) FROM title t WHERE t.kind_id = 1",
     };
   }
-
-  net::LoadOptions load;
-  load.threads = static_cast<size_t>(flags.GetInt("threads", 4));
-  load.pipeline_depth = static_cast<size_t>(flags.GetInt("depth", 4));
-  load.seconds = std::strtod(flags.GetString("seconds", "5").c_str(), nullptr);
-  load.trace_sample_every =
-      static_cast<uint64_t>(flags.GetInt("trace", 0));
-  const std::string tenant = flags.GetString("tenant", "");
 
   auto report = net::RunClosedLoop(target->host, target->port, argv[3], sqls,
                                    load, tenant);
@@ -379,18 +357,18 @@ int CmdMetrics(int argc, char** argv) {
                  "[format=prom|json]\n");
     return 2;
   }
-  Flags flags = ParseFlags(argc, argv, 4);
-  const std::string format = flags.GetString("format", "prom");
+  util::Flags flags(argc, argv, 4);
+  const uint64_t requests = flags.Count("requests", 64);
+  const std::string format = flags.String("format", "prom");
+  if (Status st = flags.Finish(); !st.ok()) return BadArgument(st);
   if (format != "prom" && format != "json") {
     std::fprintf(stderr, "dsctl: unknown format '%s' (prom|json)\n",
                  format.c_str());
     return 2;
   }
   serve::SketchRegistry registry(serve::RegistryOptions{});
-  auto server = ServeQueries(
-      &registry, argv[2], argv[3],
-      static_cast<size_t>(flags.GetInt("requests", 64)),
-      serve::ServerOptions{});
+  auto server = ServeQueries(&registry, argv[2], argv[3], requests,
+                             serve::ServerOptions{});
   if (!server.ok()) return Fail(server.status());
   if (format == "json") {
     std::printf("%s\n", (*server)->MetricsJson().c_str());
@@ -436,31 +414,31 @@ int CmdTraceExport(int argc, char** argv) {
   // else is treated as the local sketch-file form.
   const bool remote = target.rfind(':') != std::string::npos &&
                       !std::filesystem::exists(target);
+  if (!remote && argc < 5) {
+    std::fprintf(stderr,
+                 "usage: dsctl trace export <sketch-file> <SQL> "
+                 "[requests=N] [out=FILE]\n");
+    return 2;
+  }
+  util::Flags flags(argc, argv, remote ? 4 : 5);
+  const uint64_t requests = remote ? 0 : flags.Count("requests", 4);
+  const std::string out_path = flags.String("out", "");
+  if (Status st = flags.Finish(); !st.ok()) return BadArgument(st);
   std::string json;
-  Flags flags;
   if (remote) {
-    flags = ParseFlags(argc, argv, 4);
     const auto endpoint = net::ParseHostPort(target);
     if (!endpoint.ok()) return BadArgument(endpoint.status());
-    auto body =
-        net::HttpGet(endpoint->host, endpoint->port, "/tracez?format=chrome");
+    auto body = net::HttpGet(endpoint->host, endpoint->port,
+                             "/tracez?format=chrome");
     if (!body.ok()) return Fail(body.status());
     json = std::move(body).value();
   } else {
-    if (argc < 5) {
-      std::fprintf(stderr,
-                   "usage: dsctl trace export <sketch-file> <SQL> "
-                   "[requests=N] [out=FILE]\n");
-      return 2;
-    }
-    flags = ParseFlags(argc, argv, 5);
     serve::ServerOptions options;
     options.trace_sample_every = 1;
     options.result_cache_capacity = 0;
     serve::SketchRegistry registry(serve::RegistryOptions{});
-    auto server = ServeQueries(
-        &registry, argv[3], argv[4],
-        static_cast<size_t>(flags.GetInt("requests", 4)), options);
+    auto server =
+        ServeQueries(&registry, argv[3], argv[4], requests, options);
     if (!server.ok()) return Fail(server.status());
     json = obs::ToChromeTraceJson((*server)->tracer()->Snapshot());
   }
@@ -470,7 +448,7 @@ int CmdTraceExport(int argc, char** argv) {
                  error.c_str());
     return 1;
   }
-  return WriteOutput(flags.GetString("out", ""), json);
+  return WriteOutput(out_path, json);
 }
 
 int CmdTop(int argc, char** argv) {
@@ -481,21 +459,20 @@ int CmdTop(int argc, char** argv) {
   }
   const auto endpoint = net::ParseHostPort(argv[2]);
   if (!endpoint.ok()) return BadArgument(endpoint.status());
-  Flags flags = ParseFlags(argc, argv, 3);
-  const double interval =
-      std::strtod(flags.GetString("interval", "2").c_str(), nullptr);
-  const int64_t iters = flags.GetInt("iters", 0);
-  for (int64_t i = 0; iters <= 0 || i < iters; ++i) {
-    auto body =
-        net::HttpGet(endpoint->host, endpoint->port, "/statusz?format=text");
+  util::Flags flags(argc, argv, 3);
+  const double interval = flags.Double("interval", 2, 0.001, 86'400);
+  const int64_t iters = flags.Int("iters", 0, 0);
+  if (Status st = flags.Finish(); !st.ok()) return BadArgument(st);
+  for (int64_t i = 0; iters == 0 || i < iters; ++i) {
+    auto body = net::HttpGet(endpoint->host, endpoint->port,
+                             "/statusz?format=text");
     if (!body.ok()) return Fail(body.status());
     // A single fetch (iters=1) is the scriptable mode — no screen clear.
     if (iters != 1) std::printf("\x1b[H\x1b[2J");
     std::printf("%s", body->c_str());
     std::fflush(stdout);
     if (iters > 0 && i + 1 >= iters) break;
-    std::this_thread::sleep_for(std::chrono::duration<double>(
-        interval > 0 ? interval : 2.0));
+    std::this_thread::sleep_for(std::chrono::duration<double>(interval));
   }
   return 0;
 }
@@ -533,15 +510,16 @@ int CmdTrace(int argc, char** argv) {
                  "usage: dsctl trace <sketch-file> <SQL> [requests=N]\n");
     return 2;
   }
-  Flags flags = ParseFlags(argc, argv, 4);
+  util::Flags flags(argc, argv, 4);
+  const uint64_t requests = flags.Count("requests", 4);
+  if (Status st = flags.Finish(); !st.ok()) return BadArgument(st);
   serve::ServerOptions options;
   options.trace_sample_every = 1;
   // Traces should show real parse/bind/infer work, not cache hits.
   options.result_cache_capacity = 0;
   serve::SketchRegistry registry(serve::RegistryOptions{});
-  auto server = ServeQueries(
-      &registry, argv[2], argv[3],
-      static_cast<size_t>(flags.GetInt("requests", 4)), options);
+  auto server =
+      ServeQueries(&registry, argv[2], argv[3], requests, options);
   if (!server.ok()) return Fail(server.status());
   const obs::TraceRecorder* tracer = (*server)->tracer();
   for (uint64_t id : tracer->TraceIds()) {

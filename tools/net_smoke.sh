@@ -13,9 +13,11 @@
 # sides; ds_served itself additionally exits nonzero if the wire-level
 # ds_net_requests_total != sum of ds_net_responses_total).
 #
-# First, before the daemon starts, checks that a port past 65535 is a
-# usage error (exit 2) for both ds_served listen= and dsctl netload, not
-# silently truncated to 16 bits. Also exercises the admin status plane (/healthz, /readyz, /statusz,
+# First, before the daemon starts, checks that bad arguments are usage
+# errors (exit 2) for both ds_served and dsctl netload: a port past 65535
+# (not silently truncated to 16 bits), a garbage or negative number (not
+# silently 0 or 2^64-3) and a misspelled flag (not silently the default).
+# Also exercises the admin status plane (/healthz, /readyz, /statusz,
 # /tracez), validates `dsctl trace export` output with `dsctl jsoncheck`,
 # dumps the flight recorder via SIGUSR1, and checks the drain-aware
 # /readyz transition after SIGTERM.
@@ -52,10 +54,16 @@ expect_exit_2() {
   echo "   $out"
 }
 
-echo "== bad host:port arguments exit 2"
-# demo=imdb gives the daemon something to serve, so only the port is wrong.
+echo "== bad arguments exit 2"
+# demo=imdb gives the daemon something to serve, so only the flagged
+# argument is wrong; seconds=1 makes a daemon that wrongly starts serving
+# exit at once instead of at the timeout.
 expect_exit_2 "$DS_SERVED" demo=imdb listen=127.0.0.1:99999
+expect_exit_2 "$DS_SERVED" demo=imdb workers=abc seconds=1
+expect_exit_2 "$DS_SERVED" demo=imdb listn=127.0.0.1:0 seconds=1
 expect_exit_2 "$DSCTL" netload 127.0.0.1:99999 demo
+expect_exit_2 "$DSCTL" netload 127.0.0.1:1 demo threads=abc
+expect_exit_2 "$DSCTL" netload 127.0.0.1:1 demo depth=-3
 
 echo "== starting ds_served (demo sketch, ephemeral port)"
 "$DS_SERVED" demo=imdb listen=127.0.0.1:0 workers=2 trace=8 \
