@@ -13,7 +13,9 @@
 // for each pipeline stage plus the final validation q-error (this doubles as
 // ablation A3, training-set size).
 //
-// Usage: bench_training_cost [titles=15000] [samples=128] [hidden=64]
+// Usage: bench_training_cost [titles=12000] [samples=128] [hidden=64]
+//        [seed=42] [max_queries=12000] [out=...]; EXPERIMENTS.md C5 runs
+//        titles=15000 samples=128 max_queries=16000.
 
 #include <cstdio>
 

@@ -1,6 +1,7 @@
 #include "ds/analysis/source.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -10,6 +11,25 @@
 namespace ds::analysis {
 
 namespace fs = std::filesystem;
+
+namespace {
+
+// True if the `'` at `quote` is a digit separator (`15'000`, `0x1'000`): the
+// run of number characters before it starts with a digit. A run that starts
+// with a letter is an encoding prefix (`u8'a'`), and no run is a char
+// literal (`f('a')`).
+bool IsDigitSeparator(const std::string& in, size_t quote) {
+  size_t start = quote;
+  while (start > 0) {
+    const unsigned char c = static_cast<unsigned char>(in[start - 1]);
+    if (std::isalnum(c) == 0 && c != '_' && c != '.' && c != '\'') break;
+    --start;
+  }
+  return start < quote &&
+         std::isdigit(static_cast<unsigned char>(in[start])) != 0;
+}
+
+}  // namespace
 
 std::string StripCode(const std::string& in, StripMode mode) {
   const bool blank_comments = mode != StripMode::kStrings;
@@ -30,7 +50,7 @@ std::string StripCode(const std::string& in, StripMode mode) {
         } else if (c == '"') {
           st = S::kStr;
           if (blank_strings) out[i] = ' ';
-        } else if (c == '\'') {
+        } else if (c == '\'' && !IsDigitSeparator(in, i)) {
           st = S::kChar;
           if (blank_strings) out[i] = ' ';
         }

@@ -2,9 +2,15 @@
 //
 // This is the ground-truth oracle the paper obtains from HyPer (step 3 of
 // Figure 1a): training labels, validation labels, and the "true cardinality"
-// overlay all come from here. The engine is a straightforward columnar
-// select + left-deep hash-join pipeline — it only needs to be correct and
-// reasonably fast on the demo-scale datasets.
+// overlay all come from here. Count filters each table a column at a time
+// into a bitmap, then joins left-deep, starting from the table with the
+// fewest qualifying rows, on flat chained hash tables. Every step but the
+// last materializes row-id tuples; the last one only counts its matches.
+// Join edges beyond each step's build edge (a cycle, a second edge between
+// two tables) are checked on every match; an edge between two columns of
+// one table filters that table's rows. The bitmaps, row ids, hash tables
+// and tuples live in per-thread scratch that keeps its capacity, so Count is
+// safe to call from several threads at once.
 
 #ifndef DS_EXEC_EXECUTOR_H_
 #define DS_EXEC_EXECUTOR_H_
@@ -17,8 +23,10 @@
 namespace ds::exec {
 
 struct ExecutorOptions {
-  /// Abort with OutOfRange once an intermediate result exceeds this many
-  /// tuples; guards against runaway joins on user-authored queries.
+  /// Abort with OutOfRange once an intermediate result (the start table's
+  /// qualifying rows, or the tuples a join step before the last one
+  /// materializes) exceeds this many tuples; guards against runaway joins
+  /// on user-authored queries.
   uint64_t max_intermediate_tuples = 200'000'000;
 };
 

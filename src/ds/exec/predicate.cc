@@ -49,29 +49,13 @@ Status BindPredicatesInto(
   return Status::OK();
 }
 
-std::vector<uint32_t> FilterRows(const storage::Table& table,
-                                 const std::vector<BoundPredicate>& preds) {
-  std::vector<uint32_t> out;
-  const size_t n = table.num_rows();
-  for (size_t r = 0; r < n; ++r) {
-    if (RowMatchesAll(preds, r)) out.push_back(static_cast<uint32_t>(r));
-  }
-  return out;
-}
-
-std::vector<uint8_t> QualifyingBitmap(
-    const storage::Table& table, const std::vector<BoundPredicate>& preds) {
-  std::vector<uint8_t> bitmap;
-  QualifyingBitmapInto(table, preds, &bitmap);
-  return bitmap;
-}
-
 namespace {
 
 // Branch-free column-at-a-time pass for one predicate: out[r] &= match(r).
 // Same comparison semantics as RowMatches (numeric widened to double, NULL
 // never qualifies), but vectorizable — per-sample bitmaps are recomputed on
-// every featurization, so this is on the serving hot path.
+// every featurization, so this is on the serving hot path, and the executor
+// filters every base table with it.
 void AndPredicateColumn(const BoundPredicate& p, uint8_t* out, size_t n) {
   if (p.never_matches) {
     std::fill(out, out + n, uint8_t{0});

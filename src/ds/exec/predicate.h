@@ -37,7 +37,9 @@ Status BindPredicatesInto(const storage::Table& table,
                           const std::vector<workload::ColumnPredicate>& predicates,
                           std::vector<BoundPredicate>* bound);
 
-/// True if row `row` satisfies `pred`. NULL never qualifies.
+/// True if row `row` satisfies `pred`. NULL never qualifies. The
+/// row-at-a-time reference for QualifyingBitmapInto (the brute-force count
+/// the executor tests compare against uses it).
 inline bool RowMatches(const BoundPredicate& pred, size_t row) {
   if (pred.never_matches || pred.column->IsNull(row)) return false;
   double v = pred.column->GetNumeric(row);
@@ -61,17 +63,10 @@ inline bool RowMatchesAll(const std::vector<BoundPredicate>& preds,
   return true;
 }
 
-/// Indices of all qualifying rows.
-std::vector<uint32_t> FilterRows(const storage::Table& table,
-                                 const std::vector<BoundPredicate>& preds);
-
-/// Per-row qualification bytes (1/0), one per table row — the "bitmap"
-/// the paper extracts from materialized samples.
-std::vector<uint8_t> QualifyingBitmap(const storage::Table& table,
-                                      const std::vector<BoundPredicate>& preds);
-
-/// QualifyingBitmap into a caller-reused vector (resized; capacity is
-/// retained across calls).
+/// Per-row qualification bytes (1/0), one per table row, into a
+/// caller-reused vector (resized; capacity is retained across calls). Over
+/// a sample this is the "bitmap" the paper extracts; over a base table it
+/// is the executor's filter.
 void QualifyingBitmapInto(const storage::Table& table,
                           const std::vector<BoundPredicate>& preds,
                           std::vector<uint8_t>* bitmap);

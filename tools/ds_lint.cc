@@ -610,6 +610,22 @@ const SelfCase kSelfCases[] = {
      nullptr},
     {"mutex-in-comment-allowed", "clean.cc",
      "// std::mutex used to live here\n", nullptr},
+    // A digit separator is part of its number, not the start of a char
+    // literal: the code after it is still linted. An encoding prefix
+    // (`u8'a'`) still opens a char literal.
+    {"finding-after-digit-separator", "seed.cc",
+     "constexpr int kRows = 15'000;\n"
+     "static std::mutex g_mu;\n",
+     "naked-mutex"},
+    {"finding-after-separators-in-hex-and-float", "seed.cc",
+     "constexpr long kMask = 0x1'000'000;\n"
+     "constexpr double kScale = 1'000.5;\n"
+     "void f() { std::lock_guard<std::mutex> l(mu); }\n",
+     "naked-mutex"},
+    {"finding-after-prefixed-char-literal", "seed.cc",
+     "const char c = u8'a';\n"
+     "static std::mutex g_mu;\n",
+     "naked-mutex"},
     {"iostream-in-header", "seed.h", "#include <iostream>\n",
      "iostream-header"},
     {"iostream-in-cc-allowed", "clean.cc", "#include <iostream>\n", nullptr},
