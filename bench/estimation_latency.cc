@@ -8,12 +8,16 @@
 // After the google-benchmark run, a second measurement pass writes the key
 // ops machine-readably (op, p50/p95, qps, allocations/query) to
 // bench_results/estimation_latency.json (json=path overrides, json=
-// disables).
+// disables). That pass times the ops in 9 interleaved rounds and records
+// each op's median round, so one slow stretch of the machine does not set
+// a row.
 //
 // Usage: bench_estimation_latency [--benchmark_* flags] [json=path]
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -151,17 +155,21 @@ const std::vector<std::string>& BatchSqls() {
 
 void WriteJsonResults(const std::string& path) {
   const Env& env = Env::Get();
-  std::vector<bench::OpResult> ops;
-
-  ops.push_back(bench::MeasureOp(
-      "estimate_sql", /*warmup=*/100, /*iters=*/2000, /*queries_per_call=*/1,
-      [&] { DS_CHECK_OK(env.sketch->EstimateSql(kSql).status()); }));
+  struct Op {
+    const char* name;
+    size_t warmup, iters, queries_per_call;
+    std::function<void()> fn;
+  };
+  std::vector<Op> ops;
+  ops.push_back({"estimate_sql", /*warmup=*/100, /*iters=*/2000, 1, [&] {
+                   DS_CHECK_OK(env.sketch->EstimateSql(kSql).status());
+                 }});
 
   auto spec = sql::ParseAndBind(env.sketch->schema(), kSql).value();
-  ops.push_back(bench::MeasureOp(
-      "estimate_bound_spec", /*warmup=*/100, /*iters=*/2000, 1, [&] {
-        DS_CHECK_OK(env.sketch->EstimateCardinality(spec).status());
-      }));
+  ops.push_back({"estimate_bound_spec", /*warmup=*/100, /*iters=*/2000, 1,
+                 [&] {
+                   DS_CHECK_OK(env.sketch->EstimateCardinality(spec).status());
+                 }});
 
   // The serving hot path: EstimateManyInto over a reused batch of bound
   // specs. allocations_per_query here is the zero-allocation acceptance
@@ -174,14 +182,33 @@ void WriteJsonResults(const std::string& path) {
                         .value());
   }
   std::vector<Result<double>> results;
-  ops.push_back(bench::MeasureOp(
-      "estimate_many_into_batch64", /*warmup=*/10, /*iters=*/200,
-      /*queries_per_call=*/specs.size(), [&] {
-        env.sketch->EstimateManyInto(specs, &results);
-        for (const auto& r : results) DS_CHECK_OK(r.status());
-      }));
+  ops.push_back({"estimate_many_into_batch64", /*warmup=*/10, /*iters=*/200,
+                 specs.size(), [&] {
+                   env.sketch->EstimateManyInto(specs, &results);
+                   for (const auto& r : results) DS_CHECK_OK(r.status());
+                 }});
 
-  bench::WriteBenchResultsJson(path, "estimation_latency", ops);
+  // Round r times every op once, so a slow stretch of the machine lands on
+  // all ops of a round alike; each op's row is its median round by p50.
+  constexpr size_t kRounds = 9;
+  std::vector<std::vector<bench::OpResult>> rounds(ops.size());
+  for (size_t r = 0; r < kRounds; ++r) {
+    for (size_t o = 0; o < ops.size(); ++o) {
+      rounds[o].push_back(bench::MeasureOp(ops[o].name, ops[o].warmup,
+                                           ops[o].iters,
+                                           ops[o].queries_per_call, ops[o].fn));
+    }
+  }
+  std::vector<bench::OpResult> medians;
+  for (auto& op_rounds : rounds) {
+    std::nth_element(op_rounds.begin(), op_rounds.begin() + kRounds / 2,
+                     op_rounds.end(),
+                     [](const bench::OpResult& a, const bench::OpResult& b) {
+                       return a.p50_us < b.p50_us;
+                     });
+    medians.push_back(op_rounds[kRounds / 2]);
+  }
+  bench::WriteBenchResultsJson(path, "estimation_latency", medians);
 }
 
 }  // namespace

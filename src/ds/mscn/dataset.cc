@@ -11,12 +11,16 @@ Result<Dataset> Dataset::Build(
   Dataset ds;
   ds.features.reserve(workload.size());
   ds.labels.reserve(workload.size());
+  FeaturizeScratch scratch;
+  SparseQueryFeatures rows;  // reused; each query keeps an exact-size copy
   for (const auto& lq : workload) {
-    DS_ASSIGN_OR_RETURN(workload::QuerySpec resolved,
-                        ResolveStringLiterals(lq.spec, samples));
-    DS_ASSIGN_OR_RETURN(QueryFeatures qf,
-                        space.Featurize(resolved, lq.bitmaps));
-    ds.features.push_back(std::move(qf));
+    if (!lq.bitmaps.empty() && lq.bitmaps.size() != lq.spec.tables.size()) {
+      return Status::InvalidArgument("bitmap count does not match table count");
+    }
+    DS_RETURN_NOT_OK(space.FeaturizeSparse(lq.spec, samples,
+                                           /*use_bitmaps=*/!lq.bitmaps.empty(),
+                                           &scratch, &rows));
+    ds.features.push_back(rows);
     ds.labels.push_back(static_cast<double>(lq.cardinality));
   }
   return ds;
@@ -45,20 +49,14 @@ void PackSet(const std::vector<const std::vector<std::vector<float>>*>& sets,
 
 }  // namespace
 
-Batch MakeBatch(const Dataset& dataset, const std::vector<size_t>& indices,
+Batch MakeBatch(const std::vector<QueryFeatures>& queries,
                 const FeatureSpace& space) {
   Batch batch;
   std::vector<const std::vector<std::vector<float>>*> tables, joins, preds;
-  tables.reserve(indices.size());
-  joins.reserve(indices.size());
-  preds.reserve(indices.size());
-  batch.labels.reserve(indices.size());
-  for (size_t idx : indices) {
-    const QueryFeatures& qf = dataset.features[idx];
+  for (const QueryFeatures& qf : queries) {
     tables.push_back(&qf.tables);
     joins.push_back(&qf.joins);
     preds.push_back(&qf.predicates);
-    batch.labels.push_back(dataset.labels[idx]);
   }
   PackSet(tables, space.table_dim(), &batch.tables, &batch.table_mask);
   PackSet(joins, space.join_dim(), &batch.joins, &batch.join_mask);
@@ -103,6 +101,49 @@ void PackSparseSet(const std::vector<const SparseQueryFeatures*>& queries,
 }
 
 }  // namespace
+
+namespace {
+
+void PackTrainingSet(const Dataset& dataset, std::span<const size_t> indices,
+                     nn::SparseRows SparseQueryFeatures::* member, size_t dim,
+                     SparseSet* out) {
+  size_t rows = 0, nonzeros = 0;
+  for (size_t idx : indices) {
+    const nn::SparseRows& src = dataset.features[idx].*member;
+    rows += src.rows();
+    nonzeros += src.nonzeros();
+  }
+  out->rows.Clear(dim);
+  out->rows.row_offsets.reserve(rows + 1);
+  out->rows.cols.reserve(nonzeros);
+  out->rows.vals.reserve(nonzeros);
+  out->offsets.clear();
+  out->offsets.reserve(indices.size() + 1);
+  out->slots.clear();
+  out->slots.reserve(rows);
+  out->offsets.push_back(0);
+  for (size_t idx : indices) {
+    const nn::SparseRows& src = dataset.features[idx].*member;
+    for (size_t j = 0; j < src.rows(); ++j) {
+      out->slots.push_back(static_cast<uint32_t>(out->rows.rows()));
+      out->rows.AppendRowFrom(src, j);
+    }
+    out->offsets.push_back(static_cast<uint32_t>(out->slots.size()));
+  }
+}
+
+}  // namespace
+
+void PackTrainingBatch(const Dataset& dataset,
+                       std::span<const size_t> indices,
+                       const FeatureSpace& space, SparseBatch* out) {
+  PackTrainingSet(dataset, indices, &SparseQueryFeatures::tables,
+                  space.table_dim(), &out->tables);
+  PackTrainingSet(dataset, indices, &SparseQueryFeatures::joins,
+                  space.join_dim(), &out->joins);
+  PackTrainingSet(dataset, indices, &SparseQueryFeatures::predicates,
+                  space.pred_dim(), &out->predicates);
+}
 
 void PackSparseBatch(const std::vector<const SparseQueryFeatures*>& queries,
                      const FeatureSpace& space, SparseBatch* out) {

@@ -68,37 +68,13 @@ void MscnModel::Initialize(util::Pcg32* rng) {
   out_mlp_.Initialize(rng);
 }
 
-nn::Tensor MscnModel::Forward(const Batch& batch) {
-  const size_t h = config_.hidden_units;
-  const size_t b = batch.batch_size();
+namespace {
 
-  // Per-element shared MLPs on the flattened sets, then masked averaging.
-  nn::Tensor t = table_pool_.Forward(table_mlp_.Forward(batch.tables),
-                                     batch.table_mask);
-  nn::Tensor j =
-      join_pool_.Forward(join_mlp_.Forward(batch.joins), batch.join_mask);
-  nn::Tensor p = pred_pool_.Forward(pred_mlp_.Forward(batch.predicates),
-                                    batch.predicate_mask);
-
-  // Concatenate the three pooled representations.
-  nn::Tensor concat({b, 3 * h});
-  for (size_t i = 0; i < b; ++i) {
-    float* row = concat.data() + i * 3 * h;
-    std::copy(t.data() + i * h, t.data() + (i + 1) * h, row);
-    std::copy(j.data() + i * h, j.data() + (i + 1) * h, row + h);
-    std::copy(p.data() + i * h, p.data() + (i + 1) * h, row + 2 * h);
-  }
-
-  return out_sigmoid_.Forward(out_mlp_.Forward(concat));
-}
-
-const nn::Tensor* MscnModel::InferTail(const nn::Tensor& t,
-                                       const nn::Tensor& j,
-                                       const nn::Tensor& p,
-                                       nn::Workspace* ws) const {
-  const size_t h = config_.hidden_units;
-  const size_t b = t.dim(0);
-  nn::Tensor* concat = ws->Acquire();
+// Writes the three pooled set representations [B, H] side by side into
+// `concat` [B, 3H].
+void Concatenate(const nn::Tensor& t, const nn::Tensor& j, const nn::Tensor& p,
+                 nn::Tensor* concat) {
+  const size_t b = t.dim(0), h = t.dim(1);
   concat->ResizeInPlace({b, 3 * h});
   for (size_t i = 0; i < b; ++i) {
     float* row = concat->data() + i * 3 * h;
@@ -106,7 +82,32 @@ const nn::Tensor* MscnModel::InferTail(const nn::Tensor& t,
     std::copy(j.data() + i * h, j.data() + (i + 1) * h, row + h);
     std::copy(p.data() + i * h, p.data() + (i + 1) * h, row + 2 * h);
   }
+}
 
+}  // namespace
+
+const nn::Tensor& MscnModel::Forward(const SparseBatch& batch) {
+  // Per-element shared MLPs on each set's rows, then the per-query mean.
+  batch_ = &batch;
+  nn::Mlp* mlps[3] = {&table_mlp_, &join_mlp_, &pred_mlp_};
+  const SparseSet* sets[3] = {&batch.tables, &batch.joins, &batch.predicates};
+  for (size_t s = 0; s < 3; ++s) {
+    nn::MaskedMean::PoolSlotsInto(mlps[s]->Forward(sets[s]->rows),
+                                  sets[s]->offsets, sets[s]->slots,
+                                  &pooled_[s]);
+  }
+  Concatenate(pooled_[0], pooled_[1], pooled_[2], &concat_);
+  nn::Tensor& y = out_mlp_.Forward(concat_);
+  out_sigmoid_.Forward(&y);
+  return y;
+}
+
+const nn::Tensor* MscnModel::InferTail(const nn::Tensor& t,
+                                       const nn::Tensor& j,
+                                       const nn::Tensor& p,
+                                       nn::Workspace* ws) const {
+  nn::Tensor* concat = ws->Acquire();
+  Concatenate(t, j, p, concat);
   nn::Tensor* y = out_mlp_.InferInto(*concat, ws);
   nn::Sigmoid::ApplyInPlace(y);
   return y;
@@ -148,22 +149,38 @@ const nn::Tensor* MscnModel::InferSparse(const SparseBatch& batch,
   return InferTail(*t, *j, *p, ws);
 }
 
-void MscnModel::Backward(const nn::Tensor& dy) {
+void MscnModel::Backward(nn::Tensor* dy) {
+  DS_CHECK(batch_ != nullptr);
   const size_t h = config_.hidden_units;
-  nn::Tensor dconcat = out_mlp_.Backward(out_sigmoid_.Backward(dy));
+  out_sigmoid_.Backward(dy);
+  const nn::Tensor& dconcat = *out_mlp_.Backward(dy);
   const size_t b = dconcat.dim(0);
-
-  nn::Tensor dt({b, h}), dj({b, h}), dp({b, h});
-  for (size_t i = 0; i < b; ++i) {
-    const float* row = dconcat.data() + i * 3 * h;
-    std::copy(row, row + h, dt.data() + i * h);
-    std::copy(row + h, row + 2 * h, dj.data() + i * h);
-    std::copy(row + 2 * h, row + 3 * h, dp.data() + i * h);
+  nn::Mlp* mlps[3] = {&table_mlp_, &join_mlp_, &pred_mlp_};
+  const SparseSet* sets[3] = {&batch_->tables, &batch_->joins,
+                              &batch_->predicates};
+  for (size_t s = 0; s < 3; ++s) {
+    dpooled_[s].ResizeInPlace({b, h});
+    for (size_t i = 0; i < b; ++i) {
+      const float* row = dconcat.data() + i * 3 * h + s * h;
+      std::copy(row, row + h, dpooled_[s].data() + i * h);
+    }
+    nn::MaskedMean::PoolSlotsBackward(dpooled_[s], sets[s]->offsets,
+                                      &delements_[s]);
+    mlps[s]->Backward(&delements_[s]);
   }
+}
 
-  table_mlp_.Backward(table_pool_.Backward(dt));
-  join_mlp_.Backward(join_pool_.Backward(dj));
-  pred_mlp_.Backward(pred_pool_.Backward(dp));
+void MscnModel::ReleaseTrainingState() {
+  for (nn::Mlp* mlp : {&table_mlp_, &join_mlp_, &pred_mlp_, &out_mlp_}) {
+    mlp->ReleaseTrainingState();
+  }
+  batch_ = nullptr;
+  for (size_t s = 0; s < 3; ++s) {
+    pooled_[s] = nn::Tensor();
+    dpooled_[s] = nn::Tensor();
+    delements_[s] = nn::Tensor();
+  }
+  concat_ = nn::Tensor();
 }
 
 std::vector<nn::Parameter*> MscnModel::Parameters() {

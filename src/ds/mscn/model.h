@@ -6,9 +6,9 @@
 // feed them into a final output MLP, which captures correlations between
 // sets and outputs a cardinality estimate."
 //
-//   table set  -> MLP_t (shared over elements) -> masked mean ┐
-//   join set   -> MLP_j                        -> masked mean ┼ concat -> MLP_out -> sigmoid
-//   pred set   -> MLP_p                        -> masked mean ┘
+//   table set  -> MLP_t (shared over elements) -> mean ┐
+//   join set   -> MLP_j                        -> mean ┼ concat -> MLP_out -> sigmoid
+//   pred set   -> MLP_p                        -> mean ┘
 //
 // The sigmoid output is a normalized log-cardinality (see nn::LogNormalizer).
 
@@ -41,28 +41,36 @@ class MscnModel {
 
   void Initialize(util::Pcg32* rng);
 
-  /// Forward pass over a padded batch; returns sigmoid outputs [B, 1].
-  /// Caches activations for Backward — training only, not thread-safe.
-  nn::Tensor Forward(const Batch& batch);
+  /// Training forward pass; returns sigmoid outputs [B, 1], valid until
+  /// the next Forward. `batch` comes from PackTrainingBatch (one row per
+  /// element) and must outlive the Backward: the set MLPs' first layers
+  /// read its CSR rows without copying them. The activations stay in the
+  /// model's layers, so a warm pass allocates nothing. Training only, not
+  /// thread-safe.
+  const nn::Tensor& Forward(const SparseBatch& batch);
 
-  /// Backpropagates dLoss/dOutput [B, 1]; gradients accumulate in the
-  /// parameters. Must follow a Forward on the same batch.
-  void Backward(const nn::Tensor& dy);
+  /// Backpropagates dLoss/dOutput [B, 1] (`dy` is rewritten in place);
+  /// gradients accumulate in the parameters. Must follow a Forward. The
+  /// set MLPs' first layers compute no input gradient.
+  void Backward(nn::Tensor* dy);
 
-  /// Inference-only forward over a padded batch through the fused kernels:
-  /// Forward's outputs, but touches no mutable state, so concurrent calls
-  /// on a shared model are safe once training is done. All intermediates
-  /// live in `ws`, so a warm workspace makes the pass allocation-free. The
-  /// returned tensor points into `ws` and is valid until ws->Reset(). One
-  /// workspace per thread. The dense reference the parity tests hold
-  /// InferSparse to.
+  /// Frees the activations and scratch Forward and Backward keep, so a
+  /// trained model holds only what inference reads.
+  void ReleaseTrainingState();
+
+  /// Inference-only forward over a padded dense batch through the fused
+  /// kernels; touches no mutable state. All intermediates live in `ws`;
+  /// the returned tensor points into `ws` and is valid until ws->Reset().
+  /// The dense reference the parity tests hold InferSparse and Forward to.
   const nn::Tensor* InferInto(const Batch& batch, nn::Workspace* ws) const;
 
-  /// Same, with CSR feature rows feeding the first layer of each set-MLP
-  /// (the serving hot path: featurized one-hot rows are overwhelmingly
-  /// zero). Each set-MLP runs on the batch's packed rows only — no padding,
-  /// and a repeated row once — and pools through the element -> row map;
-  /// the result is bit-for-bit InferInto's on the padded equivalent.
+  /// The serving forward: CSR feature rows feed the first layer of each
+  /// set-MLP (featurized one-hot rows are overwhelmingly zero). Each set-MLP
+  /// runs on the batch's packed rows only — no padding, and a repeated row
+  /// once — and pools through the element -> row map; the result is
+  /// bit-for-bit InferInto's on the padded equivalent. Const, so concurrent
+  /// calls on a shared model are safe once training is done; a warm
+  /// workspace (one per thread) makes the pass allocation-free.
   const nn::Tensor* InferSparse(const SparseBatch& batch,
                                 nn::Workspace* ws) const;
 
@@ -97,11 +105,16 @@ class MscnModel {
   nn::Mlp table_mlp_;
   nn::Mlp join_mlp_;
   nn::Mlp pred_mlp_;
-  nn::MaskedMean table_pool_;
-  nn::MaskedMean join_pool_;
-  nn::MaskedMean pred_pool_;
   nn::Mlp out_mlp_;
   nn::Sigmoid out_sigmoid_;
+  // Training state: the batch of the last Forward, each set's pooled
+  // representation [B, H] and its gradient, each set's per-element
+  // gradient [R, H], and the concatenated pooled rows [B, 3H].
+  const SparseBatch* batch_ = nullptr;
+  nn::Tensor pooled_[3];
+  nn::Tensor dpooled_[3];
+  nn::Tensor delements_[3];
+  nn::Tensor concat_;
 };
 
 }  // namespace ds::mscn

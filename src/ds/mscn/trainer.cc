@@ -14,6 +14,25 @@
 
 namespace ds::mscn {
 
+double TrainingStep::Run(MscnModel* model, const Dataset& dataset,
+                         const FeatureSpace& space,
+                         std::span<const size_t> indices,
+                         const nn::LogNormalizer& normalizer, LossKind loss,
+                         float scale) {
+  PackTrainingBatch(dataset, indices, space, &batch_);
+  labels_.clear();
+  labels_.reserve(indices.size());
+  for (size_t idx : indices) labels_.push_back(dataset.labels[idx]);
+  const nn::Tensor& y = model->Forward(batch_);
+  dy_.ResizeInPlace({y.dim(0), y.dim(1)});
+  const double value = loss == LossKind::kQError
+                           ? nn::QErrorLoss(y, labels_, normalizer, &dy_)
+                           : nn::MseLoss(y, labels_, normalizer, &dy_);
+  for (float& v : dy_.vec()) v *= scale;
+  model->Backward(&dy_);
+  return value * static_cast<double>(scale);
+}
+
 namespace {
 
 // One data-parallel worker: a full model replica whose parameters are
@@ -25,12 +44,13 @@ struct Replica {
   }
   MscnModel model;
   std::vector<nn::Parameter*> params;
+  TrainingStep step;
   double loss = 0;          // shard loss scaled by shard/batch size
   double busy_seconds = 0;  // wall time inside the shard step
 };
 
 // One data-parallel training step: shards `batch_idx` contiguously across
-// the replicas, runs forward/backward per shard concurrently (each shard's
+// the replicas, runs the training step per shard concurrently (each shard's
 // dy is scaled by shard/batch size so the summed gradients equal the
 // full-batch mean gradient), then reduces gradients into the master
 // parameters in replica order — deterministic for a fixed thread count.
@@ -39,7 +59,7 @@ struct Replica {
 double ShardedBatchGradients(const std::vector<nn::Parameter*>& master_params,
                              std::vector<std::unique_ptr<Replica>>& replicas,
                              const Dataset& dataset, const FeatureSpace& space,
-                             const std::vector<size_t>& batch_idx,
+                             std::span<const size_t> batch_idx,
                              const nn::LogNormalizer& normalizer,
                              LossKind loss_kind, double* busy_seconds_sum) {
   const size_t total = batch_idx.size();
@@ -53,18 +73,11 @@ double ShardedBatchGradients(const std::vector<nn::Parameter*>& master_params,
     for (size_t pi = 0; pi < master_params.size(); ++pi) {
       rep.params[pi]->value.vec() = master_params[pi]->value.vec();
     }
-    std::vector<size_t> shard(batch_idx.begin() + lo, batch_idx.begin() + hi);
-    Batch sb = MakeBatch(dataset, shard, space);
-    nn::Tensor y = rep.model.Forward(sb);
-    nn::Tensor dy(y.shape());
-    double loss = loss_kind == LossKind::kQError
-                      ? nn::QErrorLoss(y, sb.labels, normalizer, &dy)
-                      : nn::MseLoss(y, sb.labels, normalizer, &dy);
     const float scale =
         static_cast<float>(hi - lo) / static_cast<float>(total);
-    for (float& v : dy.vec()) v *= scale;
-    rep.model.Backward(dy);
-    rep.loss = loss * static_cast<double>(scale);
+    rep.loss = rep.step.Run(&rep.model, dataset, space,
+                            batch_idx.subspan(lo, hi - lo), normalizer,
+                            loss_kind, scale);
     rep.busy_seconds = timer.ElapsedSeconds();
   });
   double loss_sum = 0;
@@ -136,6 +149,7 @@ Result<TrainingReport> Trainer::Train(MscnModel* model, const Dataset& dataset,
     replicas.push_back(std::make_unique<Replica>(model->config()));
   }
 
+  TrainingStep step;  // the sequential path's
   double busy_seconds_sum = 0;   // worker busy time, for efficiency export
   double epoch_wall_seconds = 0; // parallel-section wall time
 
@@ -149,24 +163,15 @@ Result<TrainingReport> Trainer::Train(MscnModel* model, const Dataset& dataset,
     for (size_t off = 0; off < train_idx.size();
          off += options_.batch_size) {
       const size_t end = std::min(off + options_.batch_size, train_idx.size());
-      std::vector<size_t> batch_idx(train_idx.begin() + off,
-                                    train_idx.begin() + end);
-      double loss;
-      if (num_threads <= 1) {
-        Batch batch = MakeBatch(dataset, batch_idx, space);
-        nn::Tensor y = model->Forward(batch);
-        nn::Tensor dy(y.shape());
-        if (options_.loss == LossKind::kQError) {
-          loss = nn::QErrorLoss(y, batch.labels, report.normalizer, &dy);
-        } else {
-          loss = nn::MseLoss(y, batch.labels, report.normalizer, &dy);
-        }
-        model->Backward(dy);
-      } else {
-        loss = ShardedBatchGradients(master_params, replicas, dataset, space,
-                                     batch_idx, report.normalizer,
-                                     options_.loss, &busy_seconds_sum);
-      }
+      const std::span<const size_t> batch_idx(train_idx.data() + off,
+                                              end - off);
+      const double loss =
+          num_threads <= 1
+              ? step.Run(model, dataset, space, batch_idx, report.normalizer,
+                         options_.loss)
+              : ShardedBatchGradients(master_params, replicas, dataset, space,
+                                      batch_idx, report.normalizer,
+                                      options_.loss, &busy_seconds_sum);
       optimizer.Step();
       optimizer.ZeroGrad();
       loss_sum += loss;
@@ -224,6 +229,9 @@ Result<TrainingReport> Trainer::Train(MscnModel* model, const Dataset& dataset,
     if (options_.on_epoch) options_.on_epoch(stats);
     report.epochs.push_back(stats);
   }
+  // The trained model serves from here on; its training buffers would stay
+  // resident with it.
+  model->ReleaseTrainingState();
   report.total_seconds = total_timer.ElapsedSeconds();
   return report;
 }
@@ -234,13 +242,13 @@ std::vector<double> Trainer::PredictIndices(
     size_t batch_size) {
   std::vector<double> out;
   out.reserve(indices.size());
+  SparseBatch batch;
   for (size_t off = 0; off < indices.size(); off += batch_size) {
     const size_t end = std::min(off + batch_size, indices.size());
-    std::vector<size_t> batch_idx(indices.begin() + off,
-                                  indices.begin() + end);
-    Batch batch = MakeBatch(dataset, batch_idx, space);
-    nn::Tensor y = model->Forward(batch);
-    for (size_t i = 0; i < batch_idx.size(); ++i) {
+    PackTrainingBatch(dataset, {indices.data() + off, end - off}, space,
+                      &batch);
+    const nn::Tensor& y = model->Forward(batch);
+    for (size_t i = 0; i < end - off; ++i) {
       out.push_back(normalizer.Denormalize(static_cast<double>(y.at(i))));
     }
   }

@@ -9,6 +9,7 @@
 #define DS_MSCN_TRAINER_H_
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,11 +55,11 @@ struct TrainerOptions {
   uint64_t seed = 99;
   /// Data-parallel worker threads per minibatch. Each worker holds a full
   /// model replica; a minibatch is sharded contiguously across workers, each
-  /// computes gradients on its shard (scaled by shard/batch size so the sum
-  /// equals the full-batch mean gradient), gradients are reduced in worker
-  /// order, and one optimizer step is applied. `threads == 1` runs the exact
-  /// sequential path (bit-identical losses); more threads reproduce the same
-  /// gradients up to float summation order.
+  /// runs the training step on its shard (dy scaled by shard/batch size so
+  /// the sum equals the full-batch mean gradient), gradients are reduced in
+  /// worker order, and one optimizer step is applied. `threads == 1` runs
+  /// the step on the model itself (bit-identical losses); more threads
+  /// reproduce the same gradients up to float summation order.
   size_t threads = 1;
   /// Called after every epoch (for progress UIs).
   std::function<void(const EpochStats&)> on_epoch;
@@ -68,6 +69,28 @@ struct TrainerOptions {
   /// ds_train_epoch_ms histogram. Null disables (no obs dependency on the
   /// hot path beyond one branch per epoch).
   obs::Registry* obs_registry = nullptr;
+};
+
+/// One training step and its scratch: the packed batch, its labels and the
+/// loss gradient (the model keeps the activations). The trainer runs one on
+/// the model for the sequential path and one per data-parallel replica.
+/// Each buffer is reserved to the batch's totals, so a step on a batch no
+/// larger than an earlier one allocates nothing.
+class TrainingStep {
+ public:
+  /// Packs `indices` of `dataset`, runs the forward pass, the loss and the
+  /// backward pass on `model`. Gradients accumulate in the model's
+  /// parameters, with dLoss/dy scaled by `scale` (a shard's share of its
+  /// batch). Returns the loss times `scale`.
+  double Run(MscnModel* model, const Dataset& dataset,
+             const FeatureSpace& space, std::span<const size_t> indices,
+             const nn::LogNormalizer& normalizer, LossKind loss,
+             float scale = 1.0f);
+
+ private:
+  SparseBatch batch_;
+  std::vector<double> labels_;
+  nn::Tensor dy_;
 };
 
 class Trainer {
@@ -85,7 +108,8 @@ class Trainer {
                                      const nn::LogNormalizer& normalizer,
                                      size_t batch_size = 128);
 
-  /// Predicted cardinalities for a subset of `dataset`.
+  /// Predicted cardinalities for a subset of `dataset`, through the training
+  /// forward (which rewrites the model's activations).
   static std::vector<double> PredictIndices(
       MscnModel* model, const Dataset& dataset, const FeatureSpace& space,
       const nn::LogNormalizer& normalizer, const std::vector<size_t>& indices,

@@ -204,6 +204,54 @@ void MatMulTransposedAAccumulate(const Tensor& a, const Tensor& b, Tensor* c) {
   DS_NO_ALLOC_END();
 }
 
+void SparseMatMulTransposedAAccumulate(const SparseRows& x, const Tensor& dy,
+                                       SparseRows* xt, Tensor* dw) {
+  const size_t n = x.rows(), k = x.dim;
+  DS_REQUIRE(dy.rank() == 2 && dy.dim(0) == n,
+             "SparseMatMulTransposedAAccumulate wants dy [%zu, m] for %zu "
+             "rows, got rank %zu",
+             n, n, dy.rank());
+  const size_t m = dy.dim(1);
+  DS_REQUIRE(dw->rank() == 2 && dw->dim(0) == k && dw->dim(1) == m,
+             "SparseMatMulTransposedAAccumulate accumulator wants [%zu,%zu]",
+             k, m);
+  // Counting sort of x's nonzeros by column: row kk of xt lists column kk
+  // of x with its row indices ascending (rows are visited in order).
+  xt->dim = n;
+  xt->row_offsets.assign(k + 1, 0);
+  for (size_t e = 0; e < x.nonzeros(); ++e) {
+    xt->row_offsets[x.cols[e] + 1] += x.vals[e] != 0.0f;
+  }
+  for (size_t kk = 0; kk < k; ++kk) {
+    xt->row_offsets[kk + 1] += xt->row_offsets[kk];
+  }
+  const size_t nnz = xt->row_offsets[k];
+  xt->cols.reserve(nnz);  // exactly the batch's count, never a doubling
+  xt->vals.reserve(nnz);
+  xt->cols.resize(nnz);
+  xt->vals.resize(nnz);
+  DS_NO_ALLOC_BEGIN();
+  for (size_t i = 0; i < n; ++i) {
+    for (uint32_t e = x.row_offsets[i]; e < x.row_offsets[i + 1]; ++e) {
+      if (x.vals[e] == 0.0f) continue;  // the dense kernel skips x == 0
+      const uint32_t slot = xt->row_offsets[x.cols[e]]++;
+      xt->cols[slot] = static_cast<uint32_t>(i);
+      xt->vals[slot] = x.vals[e];
+    }
+  }
+  // The fill advanced each start to the next row's; shift them back.
+  for (size_t kk = k; kk > 0; --kk) {
+    xt->row_offsets[kk] = xt->row_offsets[kk - 1];
+  }
+  xt->row_offsets[0] = 0;
+  Ops().sparse_matmul_ta_acc(xt->row_offsets.data(), xt->cols.data(),
+                             xt->vals.data(), k, dy.data(), dw->data(), m);
+  CountKernel(GlobalKernelStats().sparse_calls, nnz * m,
+              (x.nonzeros() * 2 * sizeof(uint32_t)) +
+                  (x.nonzeros() + n * m + 2 * k * m) * sizeof(float));
+  DS_NO_ALLOC_END();
+}
+
 void LinearBiasActInto(const Tensor& x, const Tensor& weight,
                        const Tensor& bias, bool fuse_relu, Tensor* y) {
   DS_REQUIRE(x.rank() == 2 && weight.rank() == 2 && bias.rank() == 1,

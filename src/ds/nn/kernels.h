@@ -111,6 +111,9 @@ void MatMulTransposedBInto(const Tensor& a, const Tensor& b, Tensor* c);
 
 /// C += A^T x B: [n,k] x [n,m] -> [k,m], accumulating into `c` (weight
 /// gradient: dW += x^T dy, without the temporary + Axpy of the reference).
+/// Each element adds a[i,kk] * b[i,j] for i ascending, skipping a == 0, as
+/// the reference does, so a second call keeps accumulating element by
+/// element; each row of `c` stays in registers across 64 rows of `a`.
 void MatMulTransposedAAccumulate(const Tensor& a, const Tensor& b, Tensor* c);
 
 /// Fused y = x*W + b, optionally followed by ReLU; `y` is resized in place
@@ -194,6 +197,15 @@ struct SparseRows {
 /// ToDense() input because zero entries contribute nothing in either path.
 void SparseLinearBiasActInto(const SparseRows& x, const Tensor& weight,
                              const Tensor& bias, bool fuse_relu, Tensor* y);
+
+/// Weight gradient of a sparse-input layer: dw [k,m] += x^T dy with x
+/// [n,k] in CSR form and dy [n,m]. Bit-for-bit MatMulTransposedAAccumulate
+/// on x.ToDense() on the bit-stable tiers: `xt` (scratch, keeps capacity)
+/// receives x's transpose without its zero values in one counting-sort
+/// pass, so each element adds exactly the dense kernel's products, rows
+/// ascending. No input gradient is computed.
+void SparseMatMulTransposedAAccumulate(const SparseRows& x, const Tensor& dy,
+                                       SparseRows* xt, Tensor* dw);
 
 /// Sparse x packed int8/fp16 weights — the quantized serving hot path for
 /// the set-MLP first layers.

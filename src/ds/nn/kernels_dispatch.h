@@ -42,6 +42,11 @@ struct KernelOps {
   // c[k,m] += a[n,k]^T * b[n,m]
   void (*matmul_ta_acc)(const float* a, const float* b, float* c, size_t n,
                         size_t k, size_t m);
+  // c[k,m] += x^T * b[n,m], x [n,k] given as the CSR rows of x^T (offsets
+  // of size k+1; each row's row indices ascending, no zero values)
+  void (*sparse_matmul_ta_acc)(const uint32_t* offs, const uint32_t* rows,
+                               const float* vals, size_t k, const float* b,
+                               float* c, size_t m);
   // y[n,m] = x[n,k] * w[k,m] + bias (+ ReLU)
   void (*linear)(const float* x, const float* w, const float* bias,
                  bool fuse_relu, float* y, size_t n, size_t k, size_t m);

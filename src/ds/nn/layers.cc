@@ -19,12 +19,20 @@ void Linear::Initialize(util::Pcg32* rng) {
   bias_.value.Zero();
 }
 
-Tensor Linear::Forward(const Tensor& x) {
+Tensor& Linear::Forward(const Tensor& x) {
   DS_CHECK_EQ(x.rank(), 2u);
-  cached_x_ = x;
-  Tensor y;
-  LinearBiasActInto(x, weight_.value, bias_.value, /*fuse_relu=*/false, &y);
-  return y;
+  x_ = &x;
+  sparse_x_ = nullptr;
+  LinearBiasActInto(x, weight_.value, bias_.value, /*fuse_relu=*/false, &y_);
+  return y_;
+}
+
+Tensor& Linear::Forward(const SparseRows& x) {
+  x_ = nullptr;
+  sparse_x_ = &x;
+  SparseLinearBiasActInto(x, weight_.value, bias_.value, /*fuse_relu=*/false,
+                          &y_);
+  return y_;
 }
 
 void Linear::InferInto(const Tensor& x, bool fuse_relu, Tensor* y) const {
@@ -83,54 +91,57 @@ Status Linear::ReadPacked(util::BinaryReader* reader) {
   return Status::OK();
 }
 
-Tensor Linear::Backward(const Tensor& dy) {
-  DS_CHECK(!cached_x_.empty());
-  // dW += x^T dy ; db += column sums of dy ; dx = dy W^T.
-  MatMulTransposedAAccumulate(cached_x_, dy, &weight_.grad);
+Tensor* Linear::Backward(const Tensor& dy) {
+  DS_CHECK(x_ != nullptr || sparse_x_ != nullptr);
+  // db += column sums of dy ; dW += x^T dy ; dx = dy W^T (dense input only).
   SumRowsInto(dy, &bias_.grad);
-  Tensor dx;
-  MatMulTransposedBInto(dy, weight_.value, &dx);
-  return dx;
+  if (sparse_x_ != nullptr) {
+    SparseMatMulTransposedAAccumulate(*sparse_x_, dy, &xt_, &weight_.grad);
+    return nullptr;
+  }
+  MatMulTransposedAAccumulate(*x_, dy, &weight_.grad);
+  MatMulTransposedBInto(dy, weight_.value, &dx_);
+  return &dx_;
+}
+
+void Linear::ReleaseTrainingState() {
+  x_ = nullptr;
+  sparse_x_ = nullptr;
+  y_ = Tensor();
+  dx_ = Tensor();
+  xt_ = SparseRows();
 }
 
 // ---- Activations ------------------------------------------------------------------
 
-Tensor ReLU::Forward(Tensor x) {
-  // In place; the output doubles as the backward cache (y == 0 iff x <= 0,
-  // so the gradient mask is recoverable from y alone).
-  for (float& v : x.vec()) v = v > 0.0f ? v : 0.0f;
-  cached_y_ = x;
-  return x;
+void ReLU::Forward(Tensor* x) {
+  ApplyInPlace(x);
+  y_ = x;
 }
 
-Tensor ReLU::Backward(const Tensor& dy) {
-  DS_CHECK(dy.SameShape(cached_y_));
-  Tensor dx = dy;
-  const float* y = cached_y_.data();
-  float* d = dx.data();
-  for (size_t i = 0; i < dx.size(); ++i) {
+void ReLU::Backward(Tensor* dy) const {
+  DS_CHECK(y_ != nullptr && dy->SameShape(*y_));
+  const float* y = y_->data();
+  float* d = dy->data();
+  for (size_t i = 0; i < dy->size(); ++i) {
     if (y[i] == 0.0f) d[i] = 0.0f;
   }
-  return dx;
 }
 
 void ReLU::ApplyInPlace(Tensor* x) {
   for (float& v : x->vec()) v = v > 0.0f ? v : 0.0f;
 }
 
-Tensor Sigmoid::Forward(Tensor x) {
-  for (float& v : x.vec()) v = 1.0f / (1.0f + std::exp(-v));
-  cached_y_ = x;
-  return x;
+void Sigmoid::Forward(Tensor* x) {
+  ApplyInPlace(x);
+  y_ = x;
 }
 
-Tensor Sigmoid::Backward(const Tensor& dy) {
-  DS_CHECK(dy.SameShape(cached_y_));
-  Tensor dx = dy;
-  const float* y = cached_y_.data();
-  float* d = dx.data();
-  for (size_t i = 0; i < dx.size(); ++i) d[i] *= y[i] * (1.0f - y[i]);
-  return dx;
+void Sigmoid::Backward(Tensor* dy) const {
+  DS_CHECK(y_ != nullptr && dy->SameShape(*y_));
+  const float* y = y_->data();
+  float* d = dy->data();
+  for (size_t i = 0; i < dy->size(); ++i) d[i] *= y[i] * (1.0f - y[i]);
 }
 
 void Sigmoid::ApplyInPlace(Tensor* x) {
@@ -154,16 +165,23 @@ void Mlp::Initialize(util::Pcg32* rng) {
   for (auto& l : layers_) l.Initialize(rng);
 }
 
-Tensor Mlp::Forward(const Tensor& x) {
-  // Feed `x` straight into the first layer (it caches its own input copy);
-  // the old `Tensor h = x;` head copy was pure overhead.
-  Tensor h = layers_[0].Forward(x);
-  if (!relus_.empty()) h = relus_[0].Forward(std::move(h));
+Tensor& Mlp::Forward(const Tensor& x) {
+  return ForwardFrom(&layers_[0].Forward(x));
+}
+
+Tensor& Mlp::Forward(const SparseRows& x) {
+  return ForwardFrom(&layers_[0].Forward(x));
+}
+
+Tensor& Mlp::ForwardFrom(Tensor* h) {
+  // Each ReLU runs in place on its layer's output, which the next layer
+  // reads.
+  if (!relus_.empty()) relus_[0].Forward(h);
   for (size_t i = 1; i < layers_.size(); ++i) {
-    h = layers_[i].Forward(h);
-    if (i < relus_.size()) h = relus_[i].Forward(std::move(h));
+    h = &layers_[i].Forward(*h);
+    if (i < relus_.size()) relus_[i].Forward(h);
   }
-  return h;
+  return *h;
 }
 
 Tensor* Mlp::InferInto(const Tensor& x, Workspace* ws) const {
@@ -194,13 +212,17 @@ Tensor* Mlp::InferSparseInto(const SparseRows& x, Workspace* ws) const {
   return in;
 }
 
-Tensor Mlp::Backward(const Tensor& dy) {
-  Tensor d = dy;
+Tensor* Mlp::Backward(Tensor* dy) {
+  Tensor* d = dy;
   for (size_t i = layers_.size(); i-- > 0;) {
-    if (i < relus_.size()) d = relus_[i].Backward(d);
-    d = layers_[i].Backward(d);
+    if (i < relus_.size()) relus_[i].Backward(d);
+    d = layers_[i].Backward(*d);
   }
   return d;
+}
+
+void Mlp::ReleaseTrainingState() {
+  for (auto& l : layers_) l.ReleaseTrainingState();
 }
 
 void Mlp::Pack(QuantMode mode) {
@@ -239,9 +261,6 @@ Tensor MaskedMean::Forward(const Tensor& flat, const Tensor& mask) {
   DS_CHECK_EQ(mask.rank(), 2u);
   const size_t b = mask.dim(0), s = mask.dim(1), h = flat.dim(1);
   DS_CHECK_EQ(flat.dim(0), b * s);
-  cached_mask_ = mask;
-  cached_h_ = h;
-  cached_counts_.assign(b, 0.0f);
   Tensor out({b, h});
   for (size_t i = 0; i < b; ++i) {
     float count = 0.0f;
@@ -253,7 +272,6 @@ Tensor MaskedMean::Forward(const Tensor& flat, const Tensor& mask) {
       const float* frow = flat.data() + (i * s + j) * h;
       for (size_t k = 0; k < h; ++k) orow[k] += m * frow[k];
     }
-    cached_counts_[i] = count;
     if (count > 0.0f) {
       const float inv = 1.0f / count;
       for (size_t k = 0; k < h; ++k) orow[k] *= inv;
@@ -314,26 +332,25 @@ void MaskedMean::PoolSlotsInto(const Tensor& rows,
   }
 }
 
-Tensor MaskedMean::Backward(const Tensor& dy) {
-  const size_t b = cached_mask_.dim(0), s = cached_mask_.dim(1);
-  const size_t h = cached_h_;
-  DS_CHECK_EQ(dy.dim(0), b);
-  DS_CHECK_EQ(dy.dim(1), h);
-  Tensor dflat({b * s, h});
+void MaskedMean::PoolSlotsBackward(const Tensor& dy,
+                                   const std::vector<uint32_t>& offsets,
+                                   Tensor* drows) {
+  DS_CHECK_EQ(dy.rank(), 2u);
+  DS_CHECK_EQ(offsets.size(), dy.dim(0) + 1);
+  const size_t b = dy.dim(0), h = dy.dim(1);
+  drows->ResizeInPlace({offsets.back(), h});
   for (size_t i = 0; i < b; ++i) {
-    const float count = cached_counts_[i];
-    if (count == 0.0f) continue;
-    const float inv = 1.0f / count;
+    const uint32_t begin = offsets[i], end = offsets[i + 1];
+    if (begin == end) continue;
+    // The pooled value is the sum times 1/n (PoolSlotsInto), so each
+    // element's gradient is 1/n times the set's.
+    const float inv = 1.0f / static_cast<float>(end - begin);
     const float* drow = dy.data() + i * h;
-    for (size_t j = 0; j < s; ++j) {
-      const float m = cached_mask_.at(i, j);
-      if (m == 0.0f) continue;
-      float* frow = dflat.data() + (i * s + j) * h;
-      const float scale = m * inv;
-      for (size_t k = 0; k < h; ++k) frow[k] = scale * drow[k];
+    for (uint32_t e = begin; e < end; ++e) {
+      float* frow = drows->data() + static_cast<size_t>(e) * h;
+      for (size_t k = 0; k < h; ++k) frow[k] = inv * drow[k];
     }
   }
-  return dflat;
 }
 
 // ---- Persistence -------------------------------------------------------------------------

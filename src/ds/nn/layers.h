@@ -1,14 +1,16 @@
 // Neural-network layers with explicit forward/backward passes.
 //
-// Each layer caches what its backward pass needs. Gradients accumulate into
+// Each layer remembers what its backward pass needs: a pointer to its input
+// (which must outlive the Backward) and its output, which it owns. Forward
+// and Backward write into tensors the layers keep, resized in place, so a
+// warm training step allocates nothing. Gradients accumulate into
 // Parameter::grad until the optimizer consumes them (call ZeroGrad between
 // steps). All layers operate on 2D activations [batch, features]; the MSCN
-// model flattens set dimensions into the batch dimension before calling
-// into them.
+// model runs its set MLPs on one row per set element.
 //
 // Linear and Mlp additionally provide const `InferInto`/`InferSparseInto`
 // paths that compute Forward's outputs into caller-owned tensors without
-// touching the backward caches. They read only the (immutable after
+// touching the backward state. They read only the (immutable after
 // training) weights, so any number of threads may run them on a shared
 // model concurrently — the property the serving layer (ds::serve) relies
 // on. `Forward` remains the training path and is not thread-safe.
@@ -47,9 +49,24 @@ class Linear {
   /// He-uniform initialization (suits the ReLU nets the MSCN uses).
   void Initialize(util::Pcg32* rng);
 
-  Tensor Forward(const Tensor& x);
-  /// Returns dL/dx; accumulates dL/dW and dL/db. Must follow a Forward.
-  Tensor Backward(const Tensor& dy);
+  /// Training forward: y = x W + b into the layer's output, which is
+  /// returned (a following activation may rewrite it in place) and stays
+  /// valid until the next Forward. Remembers `x`, which must outlive the
+  /// Backward.
+  Tensor& Forward(const Tensor& x);
+  /// Same with the input in CSR form (a set MLP's featurized rows); only
+  /// the nonzeros are multiplied, bit-for-bit the dense Forward.
+  Tensor& Forward(const SparseRows& x);
+
+  /// Accumulates dL/dW and dL/db from dy; must follow a Forward. Returns
+  /// dL/dx in a tensor the layer owns (valid until the next Backward), or
+  /// null after a sparse Forward: that input is features, so nothing
+  /// consumes its gradient and it is not computed.
+  Tensor* Backward(const Tensor& dy);
+
+  /// Frees the training state (output, input gradient, transpose scratch);
+  /// the next Forward rebuilds it.
+  void ReleaseTrainingState();
 
   /// Fused allocation-free inference: *y = x W + b, then ReLU when
   /// `fuse_relu`. `y` is resized in place (zero-allocation once warm) and
@@ -89,37 +106,46 @@ class Linear {
   // Immutable once built; shared so copied Linears (models are registry
   // values) alias one packed copy instead of re-packing.
   std::shared_ptr<const PackedLinear> packed_;
-  Tensor cached_x_;
+  // Training state: the last Forward's input (exactly one is set), its
+  // output, the input gradient and the sparse input's transpose.
+  const Tensor* x_ = nullptr;
+  const SparseRows* sparse_x_ = nullptr;
+  Tensor y_;
+  Tensor dx_;
+  SparseRows xt_;
 };
 
-/// Elementwise max(0, x). Takes its input by value so callers holding an
-/// rvalue activation move it in; the activation is applied in place and one
-/// copy is kept for Backward (the output doubles as the cache — the ReLU
-/// gradient mask is recoverable from the output alone).
+/// Elementwise max(0, x), in place. Forward remembers its output for
+/// Backward: the gradient mask is recoverable from the output alone
+/// (y == 0 iff x <= 0), so no copy is kept.
 class ReLU {
  public:
-  Tensor Forward(Tensor x);
-  Tensor Backward(const Tensor& dy);
+  /// x = max(0, x); `x` must outlive the Backward.
+  void Forward(Tensor* x);
+  /// dy = 0 where the output was 0, in place.
+  void Backward(Tensor* dy) const;
 
-  /// In-place max(0, x) with no caching (inference path).
+  /// In-place max(0, x) with no backward state (inference path).
   static void ApplyInPlace(Tensor* x);
 
  private:
-  Tensor cached_y_;
+  const Tensor* y_ = nullptr;
 };
 
-/// Elementwise logistic sigmoid (by-value input for the same reason as
-/// ReLU; the backward pass needs only the output).
+/// Elementwise logistic sigmoid, in place; the backward pass needs only
+/// the output.
 class Sigmoid {
  public:
-  Tensor Forward(Tensor x);
-  Tensor Backward(const Tensor& dy);
+  /// x = 1 / (1 + exp(-x)); `x` must outlive the Backward.
+  void Forward(Tensor* x);
+  /// dy *= y (1 - y), in place.
+  void Backward(Tensor* dy) const;
 
-  /// In-place sigmoid with no caching (inference path).
+  /// In-place sigmoid with no backward state (inference path).
   static void ApplyInPlace(Tensor* x);
 
  private:
-  Tensor cached_y_;
+  const Tensor* y_ = nullptr;
 };
 
 /// A stack of Linear+ReLU blocks: sizes = {in, h1, ..., out}. The final
@@ -131,8 +157,16 @@ class Mlp {
       bool final_activation);
 
   void Initialize(util::Pcg32* rng);
-  Tensor Forward(const Tensor& x);
-  Tensor Backward(const Tensor& dy);
+  /// Training forward; returns the last layer's output (valid until the
+  /// next Forward). The input must outlive the Backward.
+  Tensor& Forward(const Tensor& x);
+  /// Same, feeding the first layer from CSR rows.
+  Tensor& Forward(const SparseRows& x);
+  /// Backpropagates dy, which the ReLUs mask in place; returns dL/dx (owned
+  /// by the first layer) or null after a sparse Forward.
+  Tensor* Backward(Tensor* dy);
+  /// Frees every layer's training state.
+  void ReleaseTrainingState();
 
   /// Workspace-backed inference through the fused kernels: acquires two
   /// ping-pong slots from `ws` and returns a pointer to the one holding the
@@ -159,26 +193,28 @@ class Mlp {
   size_t out_features() const { return layers_.back().out_features(); }
 
  private:
+  /// The rest of Forward once the first layer has written `h`.
+  Tensor& ForwardFrom(Tensor* h);
+
   std::vector<Linear> layers_;
   std::vector<ReLU> relus_;  // relus_[i] follows layers_[i] where applicable
   bool final_activation_;
 };
 
-/// Masked mean over a set dimension: given per-element features
-/// flat [B*S, H] and a mask [B, S] (1 = real element, 0 = padding), produces
-/// the per-set average [B, H] over real elements. This is the Deep Sets
-/// style pooling at the heart of the MSCN (§2 of the paper).
+/// Mean pooling over sets of elements — the Deep Sets style pooling at the
+/// heart of the MSCN (§2 of the paper). The model pools through
+/// PoolSlotsInto and its backward, PoolSlotsBackward, over one row per
+/// element; Forward and PoolInto pool a padded layout through a mask and
+/// are the references the tests hold the padding-free path to.
 class MaskedMean {
  public:
-  /// `flat` is [B*S, H]; `mask` is [B, S]. A set with no real elements
-  /// yields a zero vector.
-  Tensor Forward(const Tensor& flat, const Tensor& mask);
-  /// dy is [B, H]; returns gradient for `flat` [B*S, H].
-  Tensor Backward(const Tensor& dy);
+  /// `flat` is [B*S, H]; `mask` is [B, S] (1 = real element, 0 = padding).
+  /// Returns the per-set average [B, H] over real elements; a set with no
+  /// real elements yields a zero vector.
+  static Tensor Forward(const Tensor& flat, const Tensor& mask);
 
-  /// Stateless, allocation-free pooling (inference path): `out` is resized
-  /// in place to [B, H]. Bit-for-bit identical to Forward, without its
-  /// caches.
+  /// Allocation-free Forward: `out` is resized in place to [B, H].
+  /// Bit-for-bit identical to Forward.
   static void PoolInto(const Tensor& flat, const Tensor& mask, Tensor* out);
 
   /// Mean pooling without padding: set i averages rows
@@ -190,10 +226,13 @@ class MaskedMean {
                             const std::vector<uint32_t>& offsets,
                             const std::vector<uint32_t>& slots, Tensor* out);
 
- private:
-  Tensor cached_mask_;
-  std::vector<float> cached_counts_;  // real elements per set
-  size_t cached_h_ = 0;
+  /// Backward of PoolSlotsInto when each element has its own row (the
+  /// slots are the identity): row e of set i becomes (1/n_i) · dy[i], for
+  /// n_i = offsets[i + 1] - offsets[i]. `drows` is resized in place to
+  /// [offsets.back(), H]. An empty set has no rows to receive a gradient.
+  static void PoolSlotsBackward(const Tensor& dy,
+                                const std::vector<uint32_t>& offsets,
+                                Tensor* drows);
 };
 
 // ---- Parameter persistence -----------------------------------------------------

@@ -1,11 +1,13 @@
 // Tests for the MSCN stack: featurization, dataset batching, the model
-// (including an end-to-end gradient check), and trainer convergence.
+// (including an end-to-end gradient check), trainer convergence, and golden
+// training digests.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
 
 #include "ds/datagen/imdb.h"
 #include "ds/est/sample.h"
@@ -15,6 +17,7 @@
 #include "ds/mscn/model.h"
 #include "ds/mscn/trainer.h"
 #include "ds/nn/gradcheck.h"
+#include "ds/nn/kernels.h"
 #include "ds/sketch/template.h"
 #include "ds/sql/binder.h"
 #include "ds/stress/grammar.h"
@@ -31,7 +34,6 @@ using mscn::FeatureSpace;
 using mscn::MakeBatch;
 using mscn::MscnModel;
 using mscn::ModelConfig;
-using mscn::QueryFeatures;
 using workload::CompareOp;
 
 class MscnTest : public ::testing::Test {
@@ -43,6 +45,39 @@ class MscnTest : public ::testing::Test {
 
   workload::QuerySpec Q(const std::string& sql) {
     return sql::ParseAndBind(*catalog_, sql).value();
+  }
+
+  // The CSR rows of `sql`, with sample bitmaps (as Dataset::Build gives a
+  // labeled query).
+  mscn::SparseQueryFeatures Rows(const std::string& sql) {
+    mscn::FeaturizeScratch scratch;
+    mscn::SparseQueryFeatures out;
+    EXPECT_TRUE(space_
+                    .FeaturizeSparse(Q(sql), samples_, /*use_bitmaps=*/true,
+                                     &scratch, &out)
+                    .ok());
+    return out;
+  }
+
+  // The training batch of every query of `ds`, in order.
+  mscn::SparseBatch TrainingBatch(const Dataset& ds) {
+    std::vector<size_t> indices(ds.size());
+    for (size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+    mscn::SparseBatch batch;
+    mscn::PackTrainingBatch(ds, indices, space_, &batch);
+    return batch;
+  }
+
+  MscnModel MakeModel(size_t hidden, uint64_t seed) {
+    ModelConfig config;
+    config.table_dim = space_.table_dim();
+    config.join_dim = space_.join_dim();
+    config.pred_dim = space_.pred_dim();
+    config.hidden_units = hidden;
+    MscnModel model(config);
+    util::Pcg32 rng(seed);
+    model.Initialize(&rng);
+    return model;
   }
 
   std::unique_ptr<storage::Catalog> catalog_;
@@ -270,7 +305,6 @@ TEST_F(MscnTest, FeatureSpaceSerializationRoundTrip) {
 }
 
 TEST_F(MscnTest, BatchPadsAndMasks) {
-  Dataset ds;
   // Query 0: 1 table, 0 joins, 0 predicates; query 1: 3 tables, 2 joins,
   // 2 predicates.
   auto q0 = space_.FeaturizeWithSamples(Q("SELECT COUNT(*) FROM movie"),
@@ -280,9 +314,7 @@ TEST_F(MscnTest, BatchPadsAndMasks) {
         "WHERE r.movie_id = m.id AND m.genre_id = g.id AND m.year > 2003 "
         "AND r.votes < 50"),
       samples_).value();
-  ds.features = {q0, q1};
-  ds.labels = {40, 7};
-  Batch batch = MakeBatch(ds, {0, 1}, space_);
+  Batch batch = MakeBatch({q0, q1}, space_);
   EXPECT_EQ(batch.batch_size(), 2u);
   // Table set padded to 3.
   EXPECT_EQ(batch.table_mask.dim(1), 3u);
@@ -292,28 +324,44 @@ TEST_F(MscnTest, BatchPadsAndMasks) {
   // Join set: query 0 has no joins -> all-zero mask row.
   EXPECT_FLOAT_EQ(batch.join_mask.at(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(batch.join_mask.at(1, 0), 1.0f);
-  EXPECT_EQ(batch.labels[1], 7);
+}
+
+TEST_F(MscnTest, TrainingBatchPacksOneRowPerElement) {
+  // Query 1 repeats query 0, so a serving batch would share its rows; a
+  // training batch gives every element its own row, in query order.
+  Dataset ds;
+  ds.features = {Rows("SELECT COUNT(*) FROM movie m, rating r "
+                      "WHERE r.movie_id = m.id AND m.year > 2003"),
+                 Rows("SELECT COUNT(*) FROM movie m, rating r "
+                      "WHERE r.movie_id = m.id AND m.year > 2003"),
+                 Rows("SELECT COUNT(*) FROM genre")};
+  ds.labels = {5, 5, 5};
+  const mscn::SparseBatch batch = TrainingBatch(ds);
+  EXPECT_EQ(batch.tables.offsets, (std::vector<uint32_t>{0, 2, 4, 5}));
+  EXPECT_EQ(batch.tables.slots, (std::vector<uint32_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(batch.tables.rows.rows(), 5u);
+  EXPECT_EQ(batch.joins.offsets, (std::vector<uint32_t>{0, 1, 2, 2}));
+  EXPECT_EQ(batch.joins.rows.rows(), 2u);
+  EXPECT_EQ(batch.predicates.slots, (std::vector<uint32_t>{0, 1}));
+  nn::SparseRows want;
+  want.Clear(space_.table_dim());
+  for (const auto& q : ds.features) {
+    for (size_t r = 0; r < q.tables.rows(); ++r) {
+      want.AppendRowFrom(q.tables, r);
+    }
+  }
+  ExpectSameRows(batch.tables.rows, want, "tables");
 }
 
 TEST_F(MscnTest, ModelForwardShapeAndRange) {
-  ModelConfig config;
-  config.table_dim = space_.table_dim();
-  config.join_dim = space_.join_dim();
-  config.pred_dim = space_.pred_dim();
-  config.hidden_units = 16;
-  MscnModel model(config);
-  util::Pcg32 rng(1);
-  model.Initialize(&rng);
-
+  MscnModel model = MakeModel(16, 1);
   Dataset ds;
-  ds.features.push_back(space_.FeaturizeWithSamples(
-      Q("SELECT COUNT(*) FROM movie WHERE year = 2003"), samples_).value());
-  ds.features.push_back(space_.FeaturizeWithSamples(
-      Q("SELECT COUNT(*) FROM movie m, rating r WHERE r.movie_id = m.id"),
-      samples_).value());
+  ds.features = {Rows("SELECT COUNT(*) FROM movie WHERE year = 2003"),
+                 Rows("SELECT COUNT(*) FROM movie m, rating r "
+                      "WHERE r.movie_id = m.id")};
   ds.labels = {3, 40};
-  Batch batch = MakeBatch(ds, {0, 1}, space_);
-  nn::Tensor y = model.Forward(batch);
+  const mscn::SparseBatch batch = TrainingBatch(ds);
+  const nn::Tensor& y = model.Forward(batch);
   ASSERT_EQ(y.dim(0), 2u);
   ASSERT_EQ(y.dim(1), 1u);
   for (size_t i = 0; i < 2; ++i) {
@@ -323,51 +371,49 @@ TEST_F(MscnTest, ModelForwardShapeAndRange) {
 }
 
 TEST_F(MscnTest, ModelInferMatchesForward) {
-  ModelConfig config;
-  config.table_dim = space_.table_dim();
-  config.join_dim = space_.join_dim();
-  config.pred_dim = space_.pred_dim();
-  config.hidden_units = 16;
-  MscnModel model(config);
-  util::Pcg32 rng(7);
-  model.Initialize(&rng);
-
+  // The training forward, the serving forward (rows shared between equal
+  // neighbours) and the padded dense reference agree bit for bit.
+  MscnModel model = MakeModel(16, 7);
+  const char* sqls[] = {
+      "SELECT COUNT(*) FROM movie WHERE year = 2003",
+      "SELECT COUNT(*) FROM movie m, rating r WHERE r.movie_id = m.id",
+      "SELECT COUNT(*) FROM movie m, rating r WHERE r.movie_id = m.id",
+      "SELECT COUNT(*) FROM movie m, rating r, genre g WHERE r.movie_id = "
+      "m.id AND m.genre_id = g.id AND r.votes < 50 AND g.id > 2"};
   Dataset ds;
-  ds.features.push_back(space_.FeaturizeWithSamples(
-      Q("SELECT COUNT(*) FROM movie WHERE year = 2003"), samples_).value());
-  ds.features.push_back(space_.FeaturizeWithSamples(
-      Q("SELECT COUNT(*) FROM movie m, rating r WHERE r.movie_id = m.id"),
-      samples_).value());
-  ds.labels = {3, 40};
-  Batch batch = MakeBatch(ds, {0, 1}, space_);
-  nn::Tensor trained = model.Forward(batch);
+  std::vector<mscn::QueryFeatures> dense;
+  for (const char* sql : sqls) {
+    ds.features.push_back(Rows(sql));
+    ds.labels.push_back(1);
+    dense.push_back(space_.FeaturizeWithSamples(Q(sql), samples_).value());
+  }
+  const mscn::SparseBatch batch = TrainingBatch(ds);
+  const nn::Tensor trained = model.Forward(batch);
   nn::Workspace ws;
-  const nn::Tensor* inferred = model.InferInto(batch, &ws);
+  const nn::Tensor reference = *model.InferInto(MakeBatch(dense, space_), &ws);
+  std::vector<const mscn::SparseQueryFeatures*> ptrs;
+  for (const auto& f : ds.features) ptrs.push_back(&f);
+  mscn::SparseBatch served;
+  mscn::PackSparseBatch(ptrs, space_, &served);
+  ws.Reset();
+  const nn::Tensor* inferred = model.InferSparse(served, &ws);
   ASSERT_EQ(inferred->size(), trained.size());
+  ASSERT_EQ(reference.size(), trained.size());
   for (size_t i = 0; i < trained.size(); ++i) {
-    EXPECT_FLOAT_EQ(inferred->at(i), trained.at(i)) << i;
+    EXPECT_EQ(inferred->at(i), trained.at(i)) << i;
+    EXPECT_EQ(reference.at(i), trained.at(i)) << i;
   }
 }
 
 TEST_F(MscnTest, ModelEndToEndGradientCheck) {
-  ModelConfig config;
-  config.table_dim = space_.table_dim();
-  config.join_dim = space_.join_dim();
-  config.pred_dim = space_.pred_dim();
-  config.hidden_units = 6;
-  MscnModel model(config);
-  util::Pcg32 rng(2);
-  model.Initialize(&rng);
-
+  MscnModel model = MakeModel(6, 2);
   Dataset ds;
-  ds.features.push_back(space_.FeaturizeWithSamples(
-      Q("SELECT COUNT(*) FROM movie m, rating r, genre g "
-        "WHERE r.movie_id = m.id AND m.genre_id = g.id AND m.year > 2003"),
-      samples_).value());
-  ds.features.push_back(space_.FeaturizeWithSamples(
-      Q("SELECT COUNT(*) FROM genre"), samples_).value());
+  ds.features = {Rows("SELECT COUNT(*) FROM movie m, rating r, genre g "
+                      "WHERE r.movie_id = m.id AND m.genre_id = g.id AND "
+                      "m.year > 2003"),
+                 Rows("SELECT COUNT(*) FROM genre")};
   ds.labels = {10, 5};
-  Batch batch = MakeBatch(ds, {0, 1}, space_);
+  const mscn::SparseBatch batch = TrainingBatch(ds);
 
   // MSE is used for the finite-difference check because the q-error loss
   // has a kink at est == truth that breaks central differences; the q-error
@@ -375,16 +421,16 @@ TEST_F(MscnTest, ModelEndToEndGradientCheck) {
   nn::LogNormalizer norm;
   norm.max_log = std::log(100.0);
   auto loss_fn = [&]() {
-    nn::Tensor y = model.Forward(batch);
+    const nn::Tensor& y = model.Forward(batch);
     nn::Tensor dy(y.shape());
-    return nn::MseLoss(y, batch.labels, norm, &dy);
+    return nn::MseLoss(y, ds.labels, norm, &dy);
   };
   // Analytic gradients.
   {
-    nn::Tensor y = model.Forward(batch);
+    const nn::Tensor& y = model.Forward(batch);
     nn::Tensor dy(y.shape());
-    nn::MseLoss(y, batch.labels, norm, &dy);
-    model.Backward(dy);
+    nn::MseLoss(y, ds.labels, norm, &dy);
+    model.Backward(&dy);
   }
   // Check a subset of parameters end to end (full sweep is slow).
   auto params = model.Parameters();
@@ -404,15 +450,7 @@ TEST_F(MscnTest, ModelEndToEndGradientCheck) {
 }
 
 TEST_F(MscnTest, ModelSerializationRoundTrip) {
-  ModelConfig config;
-  config.table_dim = space_.table_dim();
-  config.join_dim = space_.join_dim();
-  config.pred_dim = space_.pred_dim();
-  config.hidden_units = 8;
-  MscnModel model(config);
-  util::Pcg32 rng(4);
-  model.Initialize(&rng);
-
+  MscnModel model = MakeModel(8, 4);
   util::BinaryWriter w;
   model.Write(&w);
   util::BinaryReader r(w.buffer());
@@ -420,11 +458,10 @@ TEST_F(MscnTest, ModelSerializationRoundTrip) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   Dataset ds;
-  ds.features.push_back(space_.FeaturizeWithSamples(
-      Q("SELECT COUNT(*) FROM movie WHERE year < 2005"), samples_).value());
+  ds.features = {Rows("SELECT COUNT(*) FROM movie WHERE year < 2005")};
   ds.labels = {20};
-  Batch batch = MakeBatch(ds, {0}, space_);
-  EXPECT_FLOAT_EQ(model.Forward(batch).at(0), loaded->Forward(batch).at(0));
+  const mscn::SparseBatch batch = TrainingBatch(ds);
+  EXPECT_EQ(model.Forward(batch).at(0), loaded->Forward(batch).at(0));
 }
 
 TEST_F(MscnTest, TrainerLearnsTinyWorkload) {
@@ -516,6 +553,152 @@ TEST_F(MscnTest, DescribeArchitectureCountsParameters) {
   EXPECT_NE(desc.find(std::to_string(total)), std::string::npos) << desc;
 }
 
+// ---- Golden training digests ------------------------------------------------
+//
+// golden/train_digests.txt pins training bit for bit. Each line names one
+// variant (kernel tier, loss, workload, worker threads) and holds the
+// per-epoch training loss and validation mean q-error as hex floats (%a)
+// and an FNV-1a hash of every parameter's bytes in Parameters() order after
+// the last epoch. The lines were recorded by the padded, mask-pooled dense
+// trainer that preceded the CSR one; a variant whose tier this process
+// cannot run is skipped. On a mismatch the failure prints the line this
+// build computed, in the file's format.
+
+class TrainDigestTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    datagen::ImdbOptions imdb;
+    imdb.num_titles = 1500;
+    catalog_ = datagen::GenerateImdb(imdb).value().release();
+    const std::vector<std::string> tables = {"title", "movie_keyword",
+                                             "keyword"};
+    samples_ = new est::SampleSet(
+        est::SampleSet::Build(*catalog_, 64, 42, tables).value());
+    space_ = new FeatureSpace(
+        FeatureSpace::Create(*catalog_, tables, 64).value());
+    for (size_t max_tables : {3, 1}) {
+      workload::GeneratorOptions gen;
+      gen.tables = tables;
+      gen.max_tables = max_tables;
+      gen.min_predicates = 0;
+      gen.seed = 43;
+      auto generator =
+          workload::QueryGenerator::Create(catalog_, gen).value();
+      auto labeled = workload::LabelQueries(*catalog_, samples_,
+                                            generator.GenerateMany(300))
+                         .value();
+      datasets_.push_back(new Dataset(
+          Dataset::Build(*space_, *samples_, labeled).value()));
+    }
+  }
+  static void TearDownTestSuite() {
+    for (Dataset* d : datasets_) delete d;
+    datasets_.clear();
+    delete space_;
+    delete samples_;
+    delete catalog_;
+  }
+
+  // The digest line of one variant; `single_table` picks the workload whose
+  // queries have one table each (every batch's join set is empty).
+  static std::string DigestLine(nn::KernelTier tier, mscn::LossKind loss,
+                                bool single_table, size_t threads) {
+    ModelConfig config;
+    config.table_dim = space_->table_dim();
+    config.join_dim = space_->join_dim();
+    config.pred_dim = space_->pred_dim();
+    config.hidden_units = 16;
+    MscnModel model(config);
+    util::Pcg32 rng(44);
+    model.Initialize(&rng);
+    mscn::TrainerOptions options;
+    options.epochs = 4;
+    options.batch_size = 32;
+    options.loss = loss;
+    options.seed = 45;
+    options.threads = threads;
+    auto report = mscn::Trainer(options).Train(
+        &model, *datasets_[single_table ? 1 : 0], *space_);
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    if (!report.ok()) return "";
+    std::string line = std::string(nn::KernelTierName(tier)) +
+                       (loss == mscn::LossKind::kQError ? " qerror" : " mse") +
+                       (single_table ? " single" : " joins") + " threads=" +
+                       std::to_string(threads);
+    char buf[64];
+    for (const char* what : {" loss=", " val="}) {
+      line += what;
+      for (const mscn::EpochStats& e : report->epochs) {
+        std::snprintf(buf, sizeof(buf), "%a,",
+                      what[1] == 'l' ? e.train_loss : e.validation_mean_q);
+        line += buf;
+      }
+      line.pop_back();
+    }
+    uint64_t hash = 14695981039346656037ull;  // FNV-1a 64
+    for (nn::Parameter* p : model.Parameters()) {
+      const auto* bytes =
+          reinterpret_cast<const unsigned char*>(p->value.data());
+      for (size_t i = 0; i < p->value.size() * sizeof(float); ++i) {
+        hash = (hash ^ bytes[i]) * 1099511628211ull;
+      }
+    }
+    std::snprintf(buf, sizeof(buf), " params=%016llx",
+                  static_cast<unsigned long long>(hash));
+    return line + buf;
+  }
+
+  static storage::Catalog* catalog_;
+  static est::SampleSet* samples_;
+  static FeatureSpace* space_;
+  static std::vector<Dataset*> datasets_;
+};
+
+storage::Catalog* TrainDigestTest::catalog_ = nullptr;
+est::SampleSet* TrainDigestTest::samples_ = nullptr;
+FeatureSpace* TrainDigestTest::space_ = nullptr;
+std::vector<Dataset*> TrainDigestTest::datasets_;
+
+TEST_F(TrainDigestTest, EveryVariantMatchesTheRecording) {
+  std::ifstream in(DS_TRAIN_GOLDEN_FILE);
+  ASSERT_TRUE(in.good()) << "cannot read " << DS_TRAIN_GOLDEN_FILE;
+  std::map<std::string, std::string> golden;  // variant -> whole line
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    golden[line.substr(0, line.find(" loss="))] = line;
+  }
+  const nn::KernelTier entry = nn::ActiveKernelTier();
+  size_t checked = 0;
+  for (nn::KernelTier tier :
+       {nn::KernelTier::kGeneric, nn::KernelTier::kAvx2}) {
+    if (!nn::SetKernelTier(tier)) continue;
+    for (mscn::LossKind loss :
+         {mscn::LossKind::kQError, mscn::LossKind::kMse}) {
+      for (bool single_table : {false, true}) {
+        for (size_t threads : {1, 2}) {
+          // Data-parallel training is pinned on the paper's loss over the
+          // joining workload only.
+          if (threads > 1 &&
+              (loss != mscn::LossKind::kQError || single_table)) {
+            continue;
+          }
+          const std::string got =
+              DigestLine(tier, loss, single_table, threads);
+          const std::string name = got.substr(0, got.find(" loss="));
+          auto it = golden.find(name);
+          EXPECT_TRUE(it != golden.end() && it->second == got)
+              << "this build computes:\n"
+              << got << "\nthe recording holds:\n"
+              << (it == golden.end() ? "(no line)" : it->second);
+          ++checked;
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(nn::SetKernelTier(entry));
+  EXPECT_GE(checked, 5u);
+}
+
 TEST_F(MscnTest, TrainerRejectsBadInputs) {
   ModelConfig config;
   config.table_dim = space_.table_dim();
@@ -528,7 +711,7 @@ TEST_F(MscnTest, TrainerRejectsBadInputs) {
   mscn::TrainerOptions zero;
   zero.epochs = 0;
   Dataset one;
-  one.features.push_back(QueryFeatures{});
+  one.features.push_back(mscn::SparseQueryFeatures{});
   one.labels.push_back(1);
   EXPECT_FALSE(mscn::Trainer(zero).Train(&model, one, space_).ok());
 }

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "ds/mscn/dataset.h"
@@ -150,6 +151,81 @@ SparseRows MakeSparse(const Tensor& dense) {
   return s;
 }
 
+// The sparse weight-gradient kernel against the dense one on x.ToDense():
+// bit for bit on the tiers that never contract to FMA, within rounding on
+// the others. x has an empty row and an explicitly stored 0.0; dw starts
+// from nonzero values and takes a second accumulating call.
+TEST(KernelTest, SparseTransposedAAccumulateMatchesDense) {
+  util::Pcg32 rng(20);
+  const nn::KernelTier entry = nn::ActiveKernelTier();
+  for (nn::KernelTier tier : nn::AvailableKernelTiers()) {
+    ASSERT_TRUE(nn::SetKernelTier(tier));
+    const bool exact = tier == nn::KernelTier::kGeneric ||
+                       tier == nn::KernelTier::kAvx2;
+    for (size_t m : {1, 5, 13, 64, 70}) {
+      for (size_t n : {0, 9}) {
+        Tensor x = RandomTensor({n, 23}, &rng, 0.6);
+        for (size_t j = 0; n > 3 && j < 23; ++j) x.at(3, j) = 0.0f;
+        if (n > 0) x.at(0, 22) = 0.0f;
+        // As MakeSparse, except that row 0 stores its last column's 0.0.
+        SparseRows xs;
+        xs.Clear(23);
+        for (size_t i = 0; i < n; ++i) {
+          for (size_t j = 0; j < 23; ++j) {
+            if (x.at(i, j) != 0.0f || (i == 0 && j == 22)) {
+              xs.Push(static_cast<uint32_t>(j), x.at(i, j));
+            }
+          }
+          xs.EndRow();
+        }
+        const Tensor dy = RandomTensor({n, m}, &rng);
+        Tensor want = RandomTensor({23, m}, &rng);
+        Tensor got = want;
+        SparseRows xt;
+        for (int call = 0; call < 2; ++call) {
+          MatMulTransposedAAccumulate(xs.ToDense(), dy, &want);
+          nn::SparseMatMulTransposedAAccumulate(xs, dy, &xt, &got);
+        }
+        ASSERT_TRUE(want.SameShape(got));
+        for (size_t i = 0; i < want.size(); ++i) {
+          if (exact) {
+            ASSERT_EQ(want.at(i), got.at(i))
+                << nn::KernelTierName(tier) << " m=" << m << " n=" << n
+                << " at " << i;
+          } else {
+            ASSERT_NEAR(want.at(i), got.at(i),
+                        1e-5f * (1.0f + std::fabs(want.at(i))))
+                << nn::KernelTierName(tier) << " m=" << m << " n=" << n;
+          }
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(nn::SetKernelTier(entry));
+}
+
+// A stored 0.0 next to an infinite dy: the dense kernel skips x == 0, so
+// the sparse one must too (0 * inf would be NaN).
+TEST(KernelTest, SparseTransposedAAccumulateSkipsStoredZeros) {
+  SparseRows xs;
+  xs.Clear(4);
+  xs.Push(1, 0.0f);
+  xs.Push(2, 2.0f);
+  xs.EndRow();
+  xs.Push(1, 3.0f);
+  xs.EndRow();
+  const float inf = std::numeric_limits<float>::infinity();
+  const Tensor dy = Tensor::FromData({2, 2}, {inf, inf, 1.0f, -1.0f});
+  Tensor want({4, 2}), got({4, 2});
+  SparseRows xt;
+  MatMulTransposedAAccumulate(xs.ToDense(), dy, &want);
+  nn::SparseMatMulTransposedAAccumulate(xs, dy, &xt, &got);
+  EXPECT_EQ(got.at(1, 0), 3.0f);
+  EXPECT_EQ(got.at(1, 1), -3.0f);
+  EXPECT_EQ(got.at(2, 0), inf);
+  ExpectBitIdentical(want, got);
+}
+
 TEST(KernelTest, SparseRowsToDenseRoundTrips) {
   util::Pcg32 rng(11);
   Tensor dense = RandomTensor({5, 23}, &rng, 0.8);
@@ -249,6 +325,27 @@ TEST(KernelTest, MlpInferIntoMatchesInferAndForward) {
   // Sparse input path.
   Tensor* sparse = mlp.InferSparseInto(MakeSparse(x), &ws);
   ExpectBitIdentical(fwd, *sparse);
+}
+
+// A first layer fed CSR rows computes the dense layer's output and weight
+// gradients bit for bit, and no input gradient.
+TEST(KernelTest, LinearSparseInputMatchesDense) {
+  util::Pcg32 rng(19);
+  nn::Linear dense("l", 27, 64), sparse("l", 27, 64);
+  dense.Initialize(&rng);
+  for (size_t p = 0; p < 2; ++p) {
+    sparse.Parameters()[p]->value = dense.Parameters()[p]->value;
+  }
+  const Tensor x = RandomTensor({11, 27}, &rng, 0.8);
+  const SparseRows xs = MakeSparse(x);
+  const Tensor dy = RandomTensor({11, 64}, &rng);
+  ExpectBitIdentical(dense.Forward(x), sparse.Forward(xs));
+  EXPECT_NE(dense.Backward(dy), nullptr);
+  EXPECT_EQ(sparse.Backward(dy), nullptr);
+  for (size_t p = 0; p < 2; ++p) {
+    ExpectBitIdentical(dense.Parameters()[p]->grad,
+                       sparse.Parameters()[p]->grad);
+  }
 }
 
 TEST(KernelTest, PoolIntoMatchesForward) {
@@ -477,10 +574,14 @@ class ParallelTrainTest : public ::testing::Test {
         "SELECT COUNT(*) FROM rating",
         "SELECT COUNT(*) FROM genre WHERE id > 2",
     };
+    mscn::FeaturizeScratch scratch;
     for (const char* sql : sqls) {
       auto spec = sql::ParseAndBind(*catalog_, sql).value();
-      dataset_.features.push_back(
-          space_.FeaturizeWithSamples(spec, samples_).value());
+      dataset_.features.emplace_back();
+      EXPECT_TRUE(space_
+                      .FeaturizeSparse(spec, samples_, /*use_bitmaps=*/true,
+                                       &scratch, &dataset_.features.back())
+                      .ok());
       dataset_.labels.push_back(static_cast<double>(
           std::max<uint64_t>(testutil::BruteForceCount(*catalog_, spec), 1)));
     }
@@ -539,8 +640,9 @@ TEST_F(ParallelTrainTest, ShardedGradientsMatchSequential) {
 }
 
 TEST_F(ParallelTrainTest, ThreadsOneIsExactlySequential) {
-  // threads=1 runs the untouched sequential code path, so two runs with the
-  // same seed are bit-identical — including the final loss.
+  // threads=1 runs the training step on the model itself, with no replica
+  // and no gradient reduction, so two runs with the same seed are
+  // bit-identical — including the final loss.
   auto run = [&](size_t threads) {
     mscn::ModelConfig mc;
     mc.table_dim = space_.table_dim();
@@ -565,6 +667,33 @@ TEST_F(ParallelTrainTest, ThreadsOneIsExactlySequential) {
   for (size_t e = 0; e < a.epochs.size(); ++e) {
     EXPECT_EQ(a.epochs[e].train_loss, b.epochs[e].train_loss);
   }
+}
+
+TEST_F(ParallelTrainTest, WarmTrainingStepAllocatesNothing) {
+  if (!util::AllocCountingAvailable()) {
+    GTEST_SKIP() << "allocation counting disabled under sanitizers";
+  }
+  mscn::ModelConfig mc;
+  mc.table_dim = space_.table_dim();
+  mc.join_dim = space_.join_dim();
+  mc.pred_dim = space_.pred_dim();
+  mc.hidden_units = 8;
+  mscn::MscnModel model(mc);
+  util::Pcg32 rng(31);
+  model.Initialize(&rng);
+  nn::LogNormalizer norm;
+  norm.max_log = std::log(100.0);
+  std::vector<size_t> indices(dataset_.size());
+  for (size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+  mscn::TrainingStep step;
+  const double first = step.Run(&model, dataset_, space_, indices, norm,
+                                mscn::LossKind::kQError);
+  const uint64_t before = util::AllocCount();
+  const double second = step.Run(&model, dataset_, space_, indices, norm,
+                                 mscn::LossKind::kQError);
+  EXPECT_EQ(util::AllocCount() - before, 0u)
+      << "a warm training step must not allocate";
+  EXPECT_EQ(first, second);  // no optimizer step in between
 }
 
 TEST(ParallelForTest, CoversAllIndicesOnce) {

@@ -103,7 +103,7 @@ TEST(LinearTest, InputGradientCheck) {
   Tensor x({2, 3});
   for (float& v : x.vec()) v = static_cast<float>(rng.Normal());
   Tensor y = layer.Forward(x);
-  Tensor dx = layer.Backward(SumSquaresGrad(y));
+  Tensor dx = *layer.Backward(SumSquaresGrad(y));
   // Numerical check on the input gradient.
   const double eps = 1e-3;
   for (size_t i = 0; i < x.size(); ++i) {
@@ -125,7 +125,8 @@ TEST(MlpTest, GradientCheckThroughTwoLayers) {
   Tensor x({3, 4});
   for (float& v : x.vec()) v = static_cast<float>(rng.Normal());
   Tensor y = mlp.Forward(x);
-  mlp.Backward(SumSquaresGrad(y));
+  Tensor dy = SumSquaresGrad(y);
+  mlp.Backward(&dy);
   auto loss = [&]() { return SumSquares(mlp.Forward(x)); };
   for (Parameter* p : mlp.Parameters()) {
     auto r = CheckParameterGradient(p, loss);
@@ -135,24 +136,24 @@ TEST(MlpTest, GradientCheckThroughTwoLayers) {
 
 TEST(ActivationTest, ReluForwardBackward) {
   ReLU relu;
-  Tensor x = Tensor::FromData({1, 4}, {-1, 0, 2, -3});
-  Tensor y = relu.Forward(x);
+  Tensor y = Tensor::FromData({1, 4}, {-1, 0, 2, -3});
+  relu.Forward(&y);
   EXPECT_FLOAT_EQ(y.at(0), 0);
   EXPECT_FLOAT_EQ(y.at(2), 2);
-  Tensor dy = Tensor::FromData({1, 4}, {1, 1, 1, 1});
-  Tensor dx = relu.Backward(dy);
+  Tensor dx = Tensor::FromData({1, 4}, {1, 1, 1, 1});
+  relu.Backward(&dx);
   EXPECT_FLOAT_EQ(dx.at(0), 0);
   EXPECT_FLOAT_EQ(dx.at(2), 1);
 }
 
 TEST(ActivationTest, SigmoidMatchesClosedForm) {
   Sigmoid s;
-  Tensor x = Tensor::FromData({1, 3}, {0, 2, -2});
-  Tensor y = s.Forward(x);
+  Tensor y = Tensor::FromData({1, 3}, {0, 2, -2});
+  s.Forward(&y);
   EXPECT_NEAR(y.at(0), 0.5, 1e-6);
   EXPECT_NEAR(y.at(1), 1.0 / (1.0 + std::exp(-2.0)), 1e-6);
-  Tensor dy = Tensor::FromData({1, 3}, {1, 1, 1});
-  Tensor dx = s.Backward(dy);
+  Tensor dx = Tensor::FromData({1, 3}, {1, 1, 1});
+  s.Backward(&dx);
   EXPECT_NEAR(dx.at(0), 0.25, 1e-6);  // sigma'(0) = 1/4
 }
 
@@ -170,20 +171,23 @@ TEST(MlpTest, InferMatchesForward) {
     EXPECT_FLOAT_EQ(inferred->at(i), trained.at(i)) << i;
   }
   // InferInto must leave no trace: a Backward after it still sees the
-  // activations cached by the last Forward.
+  // activations kept by the last Forward.
   ws.Reset();
   mlp.InferInto(x, &ws);
-  mlp.Backward(SumSquaresGrad(trained));
+  Tensor dy = SumSquaresGrad(trained);
+  mlp.Backward(&dy);
 }
 
 TEST(ActivationTest, ApplyInPlaceMatchesForward) {
   Tensor x = Tensor::FromData({2, 2}, {-1.5f, 0.0f, 0.5f, 3.0f});
   ReLU relu;
-  Tensor want_relu = relu.Forward(x);
+  Tensor want_relu = x;
+  relu.Forward(&want_relu);
   Tensor got_relu = x;
   ReLU::ApplyInPlace(&got_relu);
   Sigmoid sigmoid;
-  Tensor want_sig = sigmoid.Forward(x);
+  Tensor want_sig = x;
+  sigmoid.Forward(&want_sig);
   Tensor got_sig = x;
   Sigmoid::ApplyInPlace(&got_sig);
   for (size_t i = 0; i < x.size(); ++i) {
@@ -221,27 +225,29 @@ TEST(MaskedMeanTest, AveragesOnlyRealElements) {
 }
 
 TEST(MaskedMeanTest, EmptySetYieldsZeroAndNoGradient) {
-  Tensor flat = Tensor::FromData({2, 2}, {7, 8, 9, 10});
-  Tensor mask = Tensor::FromData({1, 2}, {0, 0});
-  MaskedMean pool;
-  Tensor out = pool.Forward(flat, mask);
+  // Set 0 is empty, set 1 holds row 0.
+  Tensor rows = Tensor::FromData({1, 2}, {7, 8});
+  const std::vector<uint32_t> offsets = {0, 0, 1}, slots = {0};
+  Tensor out;
+  MaskedMean::PoolSlotsInto(rows, offsets, slots, &out);
   EXPECT_FLOAT_EQ(out.at(0, 0), 0);
   EXPECT_FLOAT_EQ(out.at(0, 1), 0);
-  Tensor dy = Tensor::FromData({1, 2}, {1, 1});
-  Tensor dflat = pool.Backward(dy);
-  for (size_t i = 0; i < dflat.size(); ++i) EXPECT_FLOAT_EQ(dflat.at(i), 0);
+  EXPECT_FLOAT_EQ(out.at(1, 0), 7);
+  Tensor dy = Tensor::FromData({2, 2}, {1, 1, 4, 5});
+  Tensor drows;
+  MaskedMean::PoolSlotsBackward(dy, offsets, &drows);
+  ASSERT_EQ(drows.dim(0), 1u);  // no row for the empty set to receive
+  EXPECT_FLOAT_EQ(drows.at(0, 0), 4);
+  EXPECT_FLOAT_EQ(drows.at(0, 1), 5);
 }
 
 TEST(MaskedMeanTest, BackwardDistributesEvenly) {
-  Tensor flat = Tensor::FromData({3, 1}, {1, 2, 3});
-  Tensor mask = Tensor::FromData({1, 3}, {1, 1, 0});
-  MaskedMean pool;
-  pool.Forward(flat, mask);
   Tensor dy = Tensor::FromData({1, 1}, {6});
-  Tensor dflat = pool.Backward(dy);
-  EXPECT_FLOAT_EQ(dflat.at(0), 3);  // 6 * 1/2
-  EXPECT_FLOAT_EQ(dflat.at(1), 3);
-  EXPECT_FLOAT_EQ(dflat.at(2), 0);  // padding
+  Tensor drows;
+  MaskedMean::PoolSlotsBackward(dy, {0, 2}, &drows);
+  ASSERT_EQ(drows.dim(0), 2u);
+  EXPECT_FLOAT_EQ(drows.at(0), 3);  // 6 * 1/2
+  EXPECT_FLOAT_EQ(drows.at(1), 3);
 }
 
 TEST(LogNormalizerTest, RoundTrip) {

@@ -166,23 +166,19 @@ size_t ExpectInferSparseMatchesInfer(
     const mscn::MscnModel& model, const mscn::FeatureSpace& space,
     const est::SampleSet& samples,
     const std::vector<workload::QuerySpec>& specs) {
-  mscn::Dataset ds;
+  std::vector<mscn::QueryFeatures> dense;
   mscn::FeaturizeScratch scratch;
   std::vector<mscn::SparseQueryFeatures> sparse(specs.size());
   std::vector<const mscn::SparseQueryFeatures*> ptrs;
-  std::vector<size_t> indices;
   for (size_t i = 0; i < specs.size(); ++i) {
-    ds.features.push_back(
-        space.FeaturizeWithSamples(specs[i], samples).value());
-    ds.labels.push_back(1);
+    dense.push_back(space.FeaturizeWithSamples(specs[i], samples).value());
     EXPECT_TRUE(space
                     .FeaturizeSparse(specs[i], samples, /*use_bitmaps=*/true,
                                      &scratch, &sparse[i])
                     .ok());
     ptrs.push_back(&sparse[i]);
-    indices.push_back(i);
   }
-  const mscn::Batch batch = mscn::MakeBatch(ds, indices, space);
+  const mscn::Batch batch = mscn::MakeBatch(dense, space);
   mscn::SparseBatch sbatch;
   mscn::PackSparseBatch(ptrs, space, &sbatch);
 

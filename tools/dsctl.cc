@@ -186,7 +186,9 @@ int CmdTrain(int argc, char** argv) {
   sketch::TrainingMonitor monitor;
   monitor.on_labeling_progress = [](size_t done, size_t total) {
     if (done % 2000 == 0 || done == total) {
-      std::printf("labeling %zu/%zu\r", done, total);
+      // Overwrite the line while labeling; end it once labeling is done.
+      std::printf("labeling %zu/%zu%c", done, total,
+                  done == total ? '\n' : '\r');
       std::fflush(stdout);
     }
   };
